@@ -457,23 +457,23 @@ def complement(d: Automaton) -> Automaton:
                      d.transitions, True, d.state_labels)
 
 
-def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
-    """Subset construction; the result is a complete DFA whose labels are the
-    source state subsets (the empty subset is the sink)."""
+def _subset_construction(alphabet, move, start_mask: int, final_mask: int,
+                         budget: Optional[int]) -> Automaton:
+    """The one subset construction.  ``move[sym][q]`` is the target mask of
+    state q under sym; a subset is final when it meets ``final_mask``.  The
+    result is a complete DFA whose labels are the explored subsets (the empty
+    subset is the sink); more than ``budget`` subsets raise BudgetExceeded."""
     budget = resolve_budget(budget)
-    masks = a.move_masks()
-    m = len(a.alphabet)
-    start = a.initial_mask
-    index = {start: 0}
-    subsets = [start]
+    m = len(alphabet)
+    index = {start_mask: 0}
+    subsets = [start_mask]
     transitions = []
-    queue = deque([start])
-    fmask = a.final_mask
+    queue = deque([start_mask])
     while queue:
         current = queue.popleft()
         src = index[current]
         for sym in range(m):
-            row = masks[sym]
+            row = move[sym]
             target = 0
             rest = current
             while rest:
@@ -490,9 +490,16 @@ def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
                 subsets.append(target)
                 queue.append(target)
             transitions.append((src, sym, dst))
-    finals = {i for i, s in enumerate(subsets) if s & fmask}
+    finals = {i for i, s in enumerate(subsets) if s & final_mask}
     labels = tuple(frozenset(bits(s)) for s in subsets)
-    return Automaton(len(subsets), a.alphabet, {0}, finals, transitions, True, labels)
+    return Automaton(len(subsets), alphabet, {0}, finals, transitions, True, labels)
+
+
+def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
+    """Subset construction; the result is a complete DFA whose labels are the
+    source state subsets (the empty subset is the sink)."""
+    return _subset_construction(a.alphabet, a.move_masks(), a.initial_mask,
+                                a.final_mask, budget)
 
 
 def _reachable_dfa(d: Automaton) -> Automaton:
@@ -626,22 +633,6 @@ def minimize(d: Automaton, budget: Optional[int] = None) -> Automaton:
     finals = {block_of[q] for q in d.finals}
     merged = Automaton(nblocks, d.alphabet, initials, finals, transitions, True)
     return canonicalize(merged)
-
-
-def language_key(a: Automaton, budget: Optional[int] = None):
-    """Canonical fingerprint of L(a): the canonical minimal complete DFA."""
-    d = minimize(determinize(a, budget))
-    return (d.state_count, tuple(sorted(d.finals)), tuple(sorted(d.transitions)))
-
-
-def isomorphic(a: Automaton, b: Automaton) -> bool:
-    """Structural equality of deterministic automata after canonical
-    renumbering."""
-    if a.alphabet != b.alphabet:
-        return False
-    ca, cb = canonicalize(a), canonicalize(b)
-    return (ca.state_count == cb.state_count and ca.initials == cb.initials
-            and ca.finals == cb.finals and ca.transitions == cb.transitions)
 
 
 def includes(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:

@@ -11,14 +11,12 @@ from typing import Optional, Sequence
 
 from .automata import (
     Automaton,
+    _subset_construction,
     bits,
-    determinize,
     includes,
-    mask_of,
-    resolve_budget,
     strongly_connected_components,
 )
-from .errors import AlphabetMismatch, BudgetExceeded
+from .errors import AlphabetMismatch
 
 
 def is_subsequence(v: Sequence[str], w: Sequence[str]) -> bool:
@@ -119,143 +117,8 @@ def down_determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
     Equivalent to ``determinize(down_closure(a))`` but never materializes the
     (dense) eliminated transition relation.
     """
-    budget = resolve_budget(budget)
     move, final_mask = _down_tables(a)
-    m = len(a.alphabet)
-    from collections import deque
-
-    start = a.initial_mask
-    index = {start: 0}
-    subsets = [start]
-    transitions = []
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        src = index[current]
-        for sym in range(m):
-            row = move[sym]
-            target = 0
-            rest = current
-            while rest:
-                low = rest & -rest
-                target |= row[low.bit_length() - 1]
-                rest ^= low
-            dst = index.get(target)
-            if dst is None:
-                if len(subsets) >= budget:
-                    raise BudgetExceeded(
-                        f"subset construction exceeded budget of {budget} states")
-                dst = len(subsets)
-                index[target] = dst
-                subsets.append(target)
-                queue.append(target)
-            transitions.append((src, sym, dst))
-    finals = {i for i, s in enumerate(subsets) if s & final_mask}
-    labels = tuple(frozenset(bits(s)) for s in subsets)
-    return Automaton(len(subsets), a.alphabet, {0}, finals, transitions, True, labels)
-
-
-def _simulation_dominators(n, m, move, final_mask):
-    """Coarsest forward simulation: dominators[p] has bit q set when every
-    word accepted from p is accepted from q.  Greatest-fixpoint refinement
-    over (state, candidate) pairs; fine for the small automata fed to the
-    antichain subset construction."""
-    full = (1 << n) - 1
-    dom = [final_mask if (final_mask >> p) & 1 else full for p in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(n):
-            row = dom[p]
-            for q in bits(row & ~(1 << p)):
-                ok = True
-                for sym in range(m):
-                    targets_p = move[sym][p]
-                    if not targets_p:
-                        continue
-                    targets_q = move[sym][q]
-                    for pp in bits(targets_p):
-                        if not (dom[pp] & targets_q):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    row &= ~(1 << q)
-                    changed = True
-            dom[p] = row | (1 << p)
-    return dom
-
-
-def _prune_mask(mask, dom):
-    """Drop every state dominated by another kept state (ties break towards
-    the smaller id); the subset language is unchanged."""
-    keep = mask
-    for p in bits(mask):
-        rivals = dom[p] & keep & ~(1 << p)
-        for q in bits(rivals):
-            if not ((dom[q] >> p) & 1) or q < p:
-                keep &= ~(1 << p)
-                break
-    return keep
-
-
-def _det_antichain(n, alphabet, move, initial_mask, final_mask, budget):
-    """Subset construction with simulation-based antichain pruning; subsets
-    are reduced to their dominating states before interning, which tames the
-    intermediate blowup of upward-closure determinization."""
-    from collections import deque
-
-    dom = _simulation_dominators(n, len(alphabet), move, final_mask)
-    m = len(alphabet)
-    start = _prune_mask(initial_mask, dom)
-    index = {start: 0}
-    subsets = [start]
-    transitions = []
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        src = index[current]
-        for sym in range(m):
-            row = move[sym]
-            target = 0
-            rest = current
-            while rest:
-                low = rest & -rest
-                target |= row[low.bit_length() - 1]
-                rest ^= low
-            target = _prune_mask(target, dom)
-            dst = index.get(target)
-            if dst is None:
-                if len(subsets) >= budget:
-                    raise BudgetExceeded(
-                        f"subset construction exceeded budget of {budget} states")
-                dst = len(subsets)
-                index[target] = dst
-                subsets.append(target)
-                queue.append(target)
-            transitions.append((src, sym, dst))
-    finals = {i for i, s in enumerate(subsets) if s & final_mask}
-    labels = tuple(frozenset(bits(s)) for s in subsets)
-    return Automaton(len(subsets), alphabet, {0}, finals, transitions, True, labels)
-
-
-def up_determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
-    """Complete DFA for up(L(a)).
-
-    Same language as ``determinize(up_closure(a))``, but the subset
-    construction prunes simulation-dominated states, which keeps the
-    intermediate automaton close to the (typically tiny) minimal DFA of an
-    upward-closed language.
-    """
-    budget = resolve_budget(budget)
-    masks = a.move_masks()
-    move = [
-        [masks[sym][q] | (1 << q) for q in range(a.state_count)]
-        for sym in range(len(a.alphabet))
-    ]
-    return _det_antichain(a.state_count, a.alphabet, move, a.initial_mask,
-                          a.final_mask, budget)
+    return _subset_construction(a.alphabet, move, a.initial_mask, final_mask, budget)
 
 
 def word_embeds_into_language(w: Sequence[str], a: Automaton) -> bool:

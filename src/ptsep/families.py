@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .automata import Automaton, is_empty
-from .closures import is_subsequence
 from .errors import SchemaError
 from .towers import LEFT, PREFIX, RIGHT, SUBSEQUENCE, Tower
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import NamedTuple, Optional, Sequence
 
-from .automata import Automaton, resolve_budget
-from .closures import is_prefix, is_subsequence
+from .automata import Automaton
 from .errors import BudgetExceeded
 
 ENUM_BUDGET = 2_000_000

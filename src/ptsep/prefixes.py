@@ -19,7 +19,6 @@ from typing import Optional
 from .automata import (
     Automaton,
     Word,
-    complete,
     determinize,
     intersection,
     is_empty,

@@ -79,10 +79,6 @@ def pt_violation(d: Automaton) -> Optional[tuple]:
         anc = ancestors_cache.get(gamma)
         if anc is not None:
             return anc
-        radj = [set() for _ in range(n)]
-        for sym in bits(gamma):
-            for s, t in by_sym[sym]:
-                radj[t].add(s)
         # reflexive-transitive closure over the reversed restricted graph,
         # via SCC condensation of the forward graph
         fadj = [set() for _ in range(n)]

@@ -13,7 +13,7 @@ same down-closures that define the chain.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .automata import (
@@ -21,11 +21,9 @@ from .automata import (
     Word,
     complement,
     determinize,
-    includes,
     intersection,
     minimize,
     trim,
-    union,
 )
 from .closures import down_determinize, is_prefix, is_subsequence
 from .errors import AlphabetMismatch
@@ -136,8 +134,11 @@ def _dfa_key(d: Automaton):
 
 def _canonical_language(a: Automaton, budget=None) -> Automaton:
     """Trimmed canonical minimal DFA: unique per language, cheap to compare,
-    and empty iff it has no states."""
-    return trim(minimize(determinize(a, budget)))
+    and empty iff it has no states.  Only an NFA goes through the subset
+    construction; products of the chain's DFAs are minimized directly."""
+    if not a.deterministic:
+        a = determinize(a, budget)
+    return trim(minimize(a))
 
 
 def _intersect_down(base: Automaton, other: Automaton, budget=None) -> Automaton:
@@ -341,7 +342,9 @@ def build_separator(chain: RefinementChain, budget=None) -> Automaton:
     With R_0 = R0 from ``chain.originals``, (L_k, R_k) = ``chain.steps[k-1]``
     and L_b empty (b = ``chain.b_index``), the separator is the union over
     j < b of down(R_j) minus down(L_{j+1}), returned as a canonical minimal
-    complete DFA."""
+    complete DFA.  Only DFA products and complements are used: the loop
+    accumulates the separator's complement, the intersection of the pieces'
+    complements, and complements it once at the end."""
     if chain.verdict != "separable":
         raise ValueError("separator is only defined for a separable chain")
     # Soundness.  Contains R0: for w in R0 take the largest j with w in R_j;
@@ -349,15 +352,11 @@ def build_separator(chain: RefinementChain, budget=None) -> Automaton:
     # Misses L0: w in L0 n down(R_j) is in L_{j+1}, so in down(L_{j+1}).
     # PT: down-closed languages are PT and PT is closed under Boolean ops.
     l0, r_j = chain.originals
-    acc = Automaton(0, l0.alphabet, (), (), ())  # empty language
+    outside = complement(Automaton(0, l0.alphabet, (), (), ()))  # Sigma*
     for l_next, r_next in chain.steps[: chain.b_index]:
         down_r = minimize(down_determinize(r_j, budget))
         down_l = minimize(down_determinize(l_next, budget))
         r_j = r_next
-        piece = trim(minimize(intersection(down_r, complement(down_l))))
-        if not piece.finals:
-            continue
-        if acc.state_count and includes(acc, piece, budget):
-            continue
-        acc = _canonical_language(union(acc, piece), budget)
-    return minimize(determinize(acc, budget))
+        piece = intersection(down_r, complement(down_l))
+        outside = minimize(intersection(outside, complement(minimize(piece))))
+    return minimize(complement(outside))

@@ -3,7 +3,11 @@ enumeration."""
 import random
 from itertools import combinations
 
+import pytest
+
 from ptsep import (
+    Automaton,
+    BudgetExceeded,
     determinize,
     down_closure,
     down_determinize,
@@ -16,7 +20,6 @@ from ptsep import (
     up_closure,
     word_embeds_into_language,
 )
-from ptsep.closures import up_determinize
 from conftest import (
     accepted_set,
     all_words,
@@ -134,13 +137,14 @@ def test_down_determinize_matches_plain_path():
         assert equivalent(fused, down_closure(a))
 
 
-def test_up_determinize_matches_plain_path():
-    rng = random.Random(43)
-    for _ in range(40):
-        a = random_nfa(rng, max_states=4, density=0.35)
-        fused = up_determinize(a)
-        assert fused.deterministic
-        assert equivalent(fused, determinize(up_closure(a)))
+def test_subset_construction_enforces_budget_on_both_routes():
+    # {ab, aa} with a nondeterministic first move; 4 subsets on either route
+    nfa = Automaton(4, ("a", "b"), {0}, {3},
+                    {(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "a", 3)})
+    for construct in (determinize, down_determinize):
+        assert construct(nfa, budget=4).state_count == 4
+        with pytest.raises(BudgetExceeded):
+            construct(nfa, budget=3)
 
 
 def test_word_embeds_into_language():

@@ -7,12 +7,19 @@ import pytest
 from ptsep import (
     Automaton,
     Tower,
+    automaton_to_dict,
     brute_max_tower_height,
     build_separator,
     check_tower,
+    complement,
     decide_separability,
+    determinize,
+    difference,
+    down_determinize,
     equivalent,
+    gen_2exp,
     gen_exp,
+    gen_expdfa,
     gen_mcvp,
     gen_quadratic,
     includes,
@@ -20,7 +27,9 @@ from ptsep import (
     is_empty,
     is_piecewise_testable,
     language_embeds,
+    minimize,
     refine_step,
+    union,
     upper_bound_height,
     verify_tower,
 )
@@ -169,6 +178,52 @@ def test_separator_trivial_empty_right():
     assert result.status == "separable"
     assert result.chain.b_index == 1
     assert is_empty(result.separator)
+
+
+def reference_separator(chain):
+    """The union of the pieces down(R_j) minus down(L_{j+1}), joined by NFA
+    union and the subset construction, as the separator was first built."""
+    _, r_j = chain.originals
+    acc = None
+    for l_next, r_next in chain.steps[: chain.b_index]:
+        down_r = minimize(down_determinize(r_j))
+        down_l = minimize(down_determinize(l_next))
+        r_j = r_next
+        piece = minimize(intersection(down_r, complement(down_l)))
+        acc = piece if acc is None else minimize(determinize(union(acc, piece)))
+    return acc
+
+
+@pytest.mark.parametrize("family,param,states", [
+    (gen_quadratic, 6, 102),
+    (gen_2exp, 3, 91),
+    (gen_exp, 5, 64),
+    (gen_expdfa, 5, 33),
+])
+def test_separator_matches_reference_on_families(family, param, states):
+    inst = family(param)
+    result = decide_separability(inst.left, inst.right, with_separator=True)
+    assert result.status == "separable"
+    assert result.separator.state_count == states
+    reference = reference_separator(result.chain)
+    assert automaton_to_dict(result.separator) == automaton_to_dict(reference)
+
+
+def test_separator_matches_reference_on_random_pairs():
+    # the right side is made disjoint from the left, which lengthens chains
+    rng = random.Random(71)
+    compared = multi_piece = 0
+    for _ in range(200):
+        a = random_nfa(rng, max_states=4, density=0.35)
+        b = difference(random_nfa(rng, max_states=4, density=0.35), a)
+        result = decide_separability(a, b, with_separator=True)
+        if result.status != "separable":
+            continue
+        reference = reference_separator(result.chain)
+        assert automaton_to_dict(result.separator) == automaton_to_dict(reference)
+        compared += 1
+        multi_piece += result.chain.b_index >= 2
+    assert compared >= 150 and multi_piece >= 25
 
 
 def test_separator_requires_separable_chain():
