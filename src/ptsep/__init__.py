@@ -16,9 +16,9 @@ from .automata import (
     intersection,
     is_empty,
     load_automaton,
+    minimal_dfa,
     minimize,
     normalize_alphabets,
-    product,
     save_automaton,
     trim,
     union,

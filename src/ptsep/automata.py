@@ -319,99 +319,43 @@ def is_empty(a: Automaton) -> bool:
 # ---------------------------------------------------------------------------
 # product and boolean operations
 
-_FINAL_POLICIES = ("both", "left-only", "right-only", "none")
-
-
-def product(a: Automaton, b: Automaton, final_policy: str = "both") -> Automaton:
-    """Full synchronized product; state (p,q) gets id p*|Q_b|+q and keeps the
-    pair as its label.  Finals follow the policy (both / left-only /
-    right-only / none)."""
-    _require_same_alphabet(a, b)
-    if final_policy not in _FINAL_POLICIES:
-        raise ValueError(f"unknown final policy {final_policy!r}")
-    nb = b.state_count
-    by_sym_a = {}
-    by_sym_b = {}
-    for src, sym, dst in a.transitions:
-        by_sym_a.setdefault(sym, []).append((src, dst))
-    for src, sym, dst in b.transitions:
-        by_sym_b.setdefault(sym, []).append((src, dst))
-    transitions = set()
-    for sym, pairs_a in by_sym_a.items():
-        pairs_b = by_sym_b.get(sym)
-        if not pairs_b:
-            continue
-        for pa, ta in pairs_a:
-            base_src = pa * nb
-            base_dst = ta * nb
-            for pb, tb in pairs_b:
-                transitions.add((base_src + pb, sym, base_dst + tb))
-    initials = {p * nb + q for p in a.initials for q in b.initials}
-    fa, fb = a.finals, b.finals
-    if final_policy == "both":
-        finals = {p * nb + q for p in fa for q in fb}
-    elif final_policy == "left-only":
-        finals = {p * nb + q for p in fa for q in range(nb) if q not in fb}
-    elif final_policy == "right-only":
-        finals = {p * nb + q for p in range(a.state_count) if p not in fa for q in fb}
-    else:
-        finals = set()
-    labels = tuple((p, q) for p in range(a.state_count) for q in range(nb))
-    deterministic = a.deterministic and b.deterministic
-    return Automaton(a.state_count * nb, a.alphabet, initials, finals,
-                     transitions, deterministic, labels)
-
 
 def intersection(a: Automaton, b: Automaton) -> Automaton:
-    """Reachable part of the synchronized product with policy ``both``."""
+    """Reachable part of the synchronized product, accepting where both sides
+    accept.  Its states are the pairs (p, q) that one common word reaches
+    from a pair of initial states; they are numbered in sorted pair order
+    (the order of p*|Q_b|+q) and labelled with their pairs.  So every state
+    is reachable, and a final state is a common word of L(a) and L(b)."""
     _require_same_alphabet(a, b)
-    adj_a = [[] for _ in range(a.state_count)]
-    adj_b = [[] for _ in range(b.state_count)]
+    nb = b.state_count
+    succ_a = [[] for _ in range(a.state_count)]
     for src, sym, dst in a.transitions:
-        adj_a[src].append((sym, dst))
+        succ_a[src].append((sym, dst))
+    succ_b = [{} for _ in range(nb)]
     for src, sym, dst in b.transitions:
-        adj_b[src].append((sym, dst))
-    for lst in adj_b:
-        lst.sort()
-    index = {}
-    order = []
-
-    def intern(pair):
-        sid = index.get(pair)
-        if sid is None:
-            sid = len(order)
-            index[pair] = sid
-            order.append(pair)
-        return sid
-
-    queue = deque()
-    for p in sorted(a.initials):
-        for q in sorted(b.initials):
-            sid = intern((p, q))
-            queue.append((p, q))
-    transitions = set()
-    while queue:
-        p, q = queue.popleft()
-        src = index[(p, q)]
-        moves_b = {}
-        for sym, tb in adj_b[q]:
-            moves_b.setdefault(sym, []).append(tb)
-        for sym, ta in adj_a[p]:
+        succ_b[src].setdefault(sym, []).append(dst)
+    starts = {p * nb + q for p in a.initials for q in b.initials}
+    seen = set(starts)
+    stack = list(starts)
+    edges = []
+    while stack:
+        key = stack.pop()
+        p, q = divmod(key, nb)
+        moves_b = succ_b[q]
+        for sym, ta in succ_a[p]:
             for tb in moves_b.get(sym, ()):
-                pair = (ta, tb)
-                known = pair in index
-                dst = intern(pair)
-                transitions.add((src, sym, dst))
-                if not known:
-                    queue.append(pair)
-    finals = {
-        i for i, (p, q) in enumerate(order)
-        if p in a.finals and q in b.finals
-    }
-    initials = {index[(p, q)] for p in a.initials for q in b.initials}
-    deterministic = a.deterministic and b.deterministic
-    return Automaton(len(order), a.alphabet, initials, finals, transitions,
-                     deterministic, tuple(order))
+                dst = ta * nb + tb
+                edges.append((key, sym, dst))
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
+    order = sorted(seen)
+    index = {key: i for i, key in enumerate(order)}
+    labels = tuple(divmod(key, nb) for key in order)
+    finals = {i for i, (p, q) in enumerate(labels) if p in a.finals and q in b.finals}
+    return Automaton(len(order), a.alphabet, {index[key] for key in starts}, finals,
+                     [(index[s], sym, index[t]) for s, sym, t in edges],
+                     a.deterministic and b.deterministic, labels)
 
 
 def union(a: Automaton, b: Automaton) -> Automaton:
@@ -502,26 +446,6 @@ def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
                                 a.final_mask, budget)
 
 
-def _reachable_dfa(d: Automaton) -> Automaton:
-    seen = _forward_reachable(d)
-    if len(seen) == d.state_count:
-        return d
-    order = sorted(seen)
-    remap = {q: i for i, q in enumerate(order)}
-    transitions = {
-        (remap[s], sym, remap[t])
-        for s, sym, t in d.transitions
-        if s in seen and t in seen
-    }
-    labels = None
-    if d.state_labels is not None:
-        labels = tuple(d.state_labels[q] for q in order)
-    return Automaton(len(order), d.alphabet,
-                     {remap[q] for q in d.initials if q in seen},
-                     {remap[q] for q in d.finals if q in seen},
-                     transitions, True, labels)
-
-
 def _hopcroft_blocks(n, m, delta, finals):
     """Hopcroft partition refinement on a complete DFA given as a flat
     ``delta[q*m + sym]`` table.  Returns the block id of every state."""
@@ -572,67 +496,45 @@ def _hopcroft_blocks(n, m, delta, finals):
     return block_of
 
 
-def canonicalize(d: Automaton) -> Automaton:
-    """Renumber a deterministic automaton in BFS discovery order (symbols
-    explored in alphabet order) so that language-equal minimal DFAs become
-    structurally identical."""
-    if not d.deterministic and d.state_count > 0:
-        raise NotDeterministic("canonicalize() expects a deterministic automaton")
-    if d.state_count == 0:
-        return d
-    delta = {}
-    for s, sym, t in d.transitions:
-        delta[(s, sym)] = t
-    q0 = next(iter(d.initials))
-    order = {q0: 0}
-    queue = deque([q0])
-    m = len(d.alphabet)
-    while queue:
-        q = queue.popleft()
-        for sym in range(m):
-            t = delta.get((q, sym))
-            if t is not None and t not in order:
-                order[t] = len(order)
-                queue.append(t)
-    transitions = {
-        (order[s], sym, order[t])
-        for (s, sym), t in delta.items()
-        if s in order and t in order
-    }
-    finals = {order[q] for q in d.finals if q in order}
-    labels = None
-    if d.state_labels is not None:
-        inverse = sorted(order, key=order.get)
-        labels = tuple(d.state_labels[q] for q in inverse)
-    return Automaton(len(order), d.alphabet, {0}, finals, transitions, True, labels)
-
-
-def minimize(d: Automaton, budget: Optional[int] = None) -> Automaton:
-    """Minimal complete DFA via Hopcroft refinement, canonically numbered.
-    The sink counts as a state whenever it is reachable."""
+def minimize(d: Automaton) -> Automaton:
+    """Minimal complete DFA via Hopcroft refinement, canonically numbered:
+    blocks get ids in BFS order from the initial block, letters in alphabet
+    order, so language-equal inputs give identical automata.  Blocks of
+    unreachable states are never visited.  The sink counts as a state
+    whenever it is reachable."""
     if not d.deterministic and d.state_count > 0:
         raise NotDeterministic("minimize() expects a deterministic automaton")
-    d = _reachable_dfa(complete(d))
+    d = complete(d)
     n, m = d.state_count, len(d.alphabet)
     delta = [0] * (n * m)
     for s, sym, t in d.transitions:
         delta[s * m + sym] = t
     block_of = _hopcroft_blocks(n, m, delta, d.finals)
-    nblocks = max(block_of) + 1
-    repr_of = [-1] * nblocks
+    repr_of = {}
     for q in range(n):
-        if repr_of[block_of[q]] < 0:
-            repr_of[block_of[q]] = q
-    transitions = set()
-    for b in range(nblocks):
-        q = repr_of[b]
-        base = q * m
+        repr_of.setdefault(block_of[q], q)
+    order = [block_of[next(iter(d.initials))]]
+    number = {order[0]: 0}
+    transitions = []
+    for src, block in enumerate(order):  # order grows while it is scanned
+        base = repr_of[block] * m
         for sym in range(m):
-            transitions.add((b, sym, block_of[delta[base + sym]]))
-    initials = {block_of[next(iter(d.initials))]}
-    finals = {block_of[q] for q in d.finals}
-    merged = Automaton(nblocks, d.alphabet, initials, finals, transitions, True)
-    return canonicalize(merged)
+            target = block_of[delta[base + sym]]
+            dst = number.get(target)
+            if dst is None:
+                dst = number[target] = len(order)
+                order.append(target)
+            transitions.append((src, sym, dst))
+    final_blocks = {block_of[q] for q in d.finals}
+    finals = {i for i, block in enumerate(order) if block in final_blocks}
+    return Automaton(len(order), d.alphabet, {0}, finals, transitions, True)
+
+
+def minimal_dfa(a: Automaton, budget: Optional[int] = None) -> Automaton:
+    """The canonical minimal complete DFA of L(a): trim, then the subset
+    construction only when the input is nondeterministic, then minimize."""
+    a = trim(a)
+    return minimize(a if a.deterministic else determinize(a, budget))
 
 
 def includes(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:

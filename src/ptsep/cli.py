@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 
 from . import families, oracles, prefixes, ptcheck, towers
 from .automata import (
+    automaton_from_dict,
     automaton_to_dict,
     load_automaton,
-    minimize,
-    determinize,
+    minimal_dfa,
     normalize_alphabets,
     save_automaton,
-    trim,
 )
-from .errors import PtsepError
+from .errors import PtsepError, SchemaError
 from .towers import Tower, upper_bound_height
 
 try:
@@ -90,9 +89,37 @@ def _load_pair(left_path, right_path):
     return normalize_alphabets(left, right)
 
 
-def _load_tower(path) -> Tower:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return Tower.from_dict(json.load(handle))
+        return json.load(handle)
+
+
+def _load_graph(path):
+    """(vertices, edges, s, t) of a graph document, checked field by field."""
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise SchemaError("graph document must be a JSON object")
+    for key in ("vertices", "edges", "s", "t"):
+        if key not in data:
+            raise SchemaError(f"graph document needs field {key!r}")
+    n = data["vertices"]
+    if not isinstance(n, int) or n < 0:
+        raise SchemaError("vertices: must be a non-negative integer")
+
+    def vertex(v):
+        return isinstance(v, int) and 0 <= v < n
+
+    for key in ("s", "t"):
+        if not vertex(data[key]):
+            raise SchemaError(f"{key}: vertex {data[key]!r} out of range (vertices={n})")
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise SchemaError("edges: must be a list of [source, target]")
+    for i, edge in enumerate(edges):
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(vertex, edge))):
+            raise SchemaError(
+                f"edges[{i}]: expected [source, target] with vertices below {n}, got {edge!r}")
+    return n, [tuple(e) for e in edges], data["s"], data["t"]
 
 
 def _save_json(data, path):
@@ -153,7 +180,7 @@ def cmd_prefix_analyze(args) -> int:
     report = Report("prefix-analyze")
     left, right = _load_pair(args.left, args.right)
     with _Timer(report, "pattern"):
-        pattern = prefixes.find_pattern(left, right, budget=args.budget)
+        pattern = prefixes.find_pattern(left, right)
     report.data["pattern_found"] = pattern is not None
     if pattern is not None:
         report.data["pattern"] = pattern.to_dict()
@@ -162,9 +189,8 @@ def cmd_prefix_analyze(args) -> int:
         with _Timer(report, "height"):
             height = prefixes.max_prefix_tower_height(left, right, budget=args.budget)
         report.data["height"] = int(height)
-    min_left = minimize(determinize(trim(left), args.budget))
-    min_right = minimize(determinize(trim(right), args.budget))
-    m, n = min_left.state_count, min_right.state_count
+    m = minimal_dfa(left, args.budget).state_count
+    n = minimal_dfa(right, args.budget).state_count
     report.data["bounds"] = {
         "minimal_dfa_states": [m, n],
         "dfa_pair_bound": (m * n) // 2,
@@ -179,8 +205,7 @@ def cmd_pt_check(args) -> int:
     report = Report("pt-check")
     automaton = load_automaton(args.automaton)
     with _Timer(report, "check"):
-        violation = ptcheck.pt_violation(
-            minimize(determinize(trim(automaton), args.budget)))
+        violation = ptcheck.pt_violation(minimal_dfa(automaton, args.budget))
     report.data["piecewise_testable"] = violation is None
     if violation is not None:
         kind, witness = violation
@@ -227,24 +252,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
     if args.kind == "mcvp":
-        circuit = families.Circuit.from_dict(data)
+        circuit = families.Circuit.from_dict(_load_json(args.input))
         left, right = families.gen_mcvp(circuit, padded=not args.bare)
         outputs = {"left.json": left, "right.json": right}
     elif args.kind == "reach":
-        for key in ("vertices", "edges", "s", "t"):
-            if key not in data:
-                raise PtsepError(f"graph document needs field {key!r}")
-        left, right = families.gen_reachability(
-            data["vertices"], [tuple(e) for e in data["edges"]],
-            data["s"], data["t"], dfa=args.dfa)
+        left, right = families.gen_reachability(*_load_graph(args.input), dfa=args.dfa)
         outputs = {"left.json": left, "right.json": right}
     else:  # universality
-        from .automata import automaton_from_dict
-
-        automaton = automaton_from_dict(data)
+        automaton = automaton_from_dict(_load_json(args.input))
         outputs = {"result.json": families.gen_universality(automaton)}
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -256,7 +272,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify_tower(args) -> int:
     left, right = _load_pair(args.left, args.right)
-    tower = _load_tower(args.tower)
+    tower = Tower.from_dict(_load_json(args.tower))
     failure = towers.check_tower(left, right, tower)
     if failure is None:
         print(f"valid tower, height {tower.height}")
@@ -338,10 +354,7 @@ def cmd_oracle(args) -> int:
         kind = "finite" if result.exact else "at_least"
         print(f"{kind} {result.height}")
         return 0
-    with open(args.graph, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    ok = oracles.reachability(
-        data["vertices"], [tuple(e) for e in data["edges"]], data["s"], data["t"])
+    ok = oracles.reachability(*_load_graph(args.graph))
     print("reachable" if ok else "unreachable")
     return 0 if ok else 1
 

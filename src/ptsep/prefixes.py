@@ -8,6 +8,11 @@ the right side, and sigma1/sigma2 (resp. tau1/tau2) are reachable from sigma
 (resp. tau) under a common string.  For disjoint languages its existence is
 equivalent to an infinite tower of prefixes, and the witness words assemble
 the tower u (x u1 y u2)* (x + x u1 y).
+
+Both searches run on :func:`~ptsep.automata.intersection`, the reachable
+product, whose state ids follow the order of the (left, right) state pairs.
+Every product state is reachable, and the languages are disjoint exactly
+when the product has no final state.
 """
 from __future__ import annotations
 
@@ -21,8 +26,6 @@ from .automata import (
     Word,
     determinize,
     intersection,
-    is_empty,
-    product,
     strongly_connected_components,
     trim,
 )
@@ -35,7 +38,7 @@ INFINITE = math.inf
 class Pattern:
     """Witness for an infinite tower of prefixes between two automata."""
 
-    scc: tuple  # product state ids of the component
+    scc: tuple  # reachable-product state ids of the component, ascending
     sigma: int
     sigma1: int
     sigma2: int
@@ -47,7 +50,7 @@ class Pattern:
     y: Word
     u1: Word
     u2: Word
-    state_pairs: tuple  # product id -> (left state, right state)
+    state_pairs: tuple  # reachable-product id -> (left, right), in pair order
 
     def pair(self, pid: int):
         return self.state_pairs[pid]
@@ -72,11 +75,6 @@ class Pattern:
                 "u2": list(self.u2),
             },
         }
-
-
-def _require_disjoint(a: Automaton, b: Automaton):
-    if not is_empty(intersection(a, b)):
-        raise ValueError("languages must be disjoint")
 
 
 def _bfs_word(adj, sources, target, alphabet) -> Optional[tuple]:
@@ -107,7 +105,7 @@ def _bfs_word(adj, sources, target, alphabet) -> Optional[tuple]:
     return None
 
 
-def _pair_walk(adj, start, alphabet):
+def _pair_walk(adj, start):
     """Synchronized-square BFS from (start, start): every reachable pair of
     product states under a common string, with shortlex parents."""
     root = (start, start)
@@ -138,25 +136,16 @@ def _square_word(parents, key, alphabet) -> tuple:
     return tuple(word)
 
 
-def find_pattern(a: Automaton, b: Automaton, budget=None) -> Optional[Pattern]:
+def find_pattern(a: Automaton, b: Automaton) -> Optional[Pattern]:
     """Deterministic search for a pattern; None when there is no infinite
     tower of prefixes.  Candidates are scanned in canonical (state id) order
     so the result is reproducible."""
-    _require_disjoint(a, b)
-    prod = product(a, b, final_policy="none")
+    prod = intersection(a, b)
+    if prod.finals:
+        raise ValueError("languages must be disjoint")
     labels = prod.state_labels
     adj = prod.adjacency()
     n = prod.state_count
-
-    reachable = set()
-    queue = deque(sorted(prod.initials))
-    reachable.update(prod.initials)
-    while queue:
-        v = queue.popleft()
-        for _, t in adj[v]:
-            if t not in reachable:
-                reachable.add(t)
-                queue.append(t)
 
     has_self_loop = [False] * n
     for s, _, t in prod.transitions:
@@ -171,14 +160,12 @@ def find_pattern(a: Automaton, b: Automaton, budget=None) -> Optional[Pattern]:
 
     for comp in sorted(comps, key=min):
         members = sorted(comp)
-        if not (reachable & set(members)):
-            continue
         if len(members) == 1 and not has_self_loop[members[0]]:
             continue
         member_set = set(members)
 
         def fork(anchor, accepting):
-            walk = _pair_walk(adj, anchor, prod.alphabet)
+            walk = _pair_walk(adj, anchor)
             candidates = [
                 (p1, p2) for (p1, p2) in walk
                 if p1 in accepting and p2 in member_set
@@ -241,41 +228,22 @@ def max_prefix_tower_height(a: Automaton, b: Automaton, budget=None):
 
     Both inputs are determinized, so every word drives the product to one
     state; a tower is then a walk through the alternation classes
-    X = F_A x (Q_B \\ F_B) and Y = (Q_A \\ F_A) x F_B, and the answer is the
-    longest such walk (infinite iff a cycle is reachable).
+    X = F_A x (Q_B \\ F_B) and Y = (Q_A \\ F_A) x F_B of the reachable
+    product, and the answer is the longest such walk (infinite iff it can
+    cycle).  The product has no state in F_A x F_B, so X and Y are told
+    apart by one side alone.
     """
-    _require_disjoint(a, b)
     da = determinize(trim(a), budget)
     db = determinize(trim(b), budget)
-    prod = product(da, db, final_policy="none")
+    prod = intersection(da, db)
+    if prod.finals:
+        raise ValueError("languages must be disjoint")
     labels = prod.state_labels
     adj = prod.adjacency()
-    n = prod.state_count
-
-    in_x = [False] * n
-    in_y = [False] * n
-    for v in range(n):
-        p, q = labels[v]
-        fa = p in da.finals
-        fb = q in db.finals
-        in_x[v] = fa and not fb
-        in_y[v] = fb and not fa
-
-    start = next(iter(prod.initials))
-    entry = set()
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if in_x[v] or in_y[v]:
-            entry.add(v)
-        for _, t in adj[v]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-
-    nodes = [v for v in range(n) if (in_x[v] or in_y[v]) and v in seen]
-    if not entry:
+    in_x = [p in da.finals for p, _ in labels]
+    in_y = [q in db.finals for _, q in labels]
+    nodes = [v for v in range(prod.state_count) if in_x[v] or in_y[v]]
+    if not nodes:
         return 0
 
     # alternation edges: from u, every opposite-class state reachable by a
@@ -294,34 +262,16 @@ def max_prefix_tower_height(a: Automaton, b: Automaton, budget=None):
                     queue.append(t)
         want = in_y if in_x[v] else in_x
         for t in sorted(reach):
-            if want[t] and t in node_index:
+            if want[t]:
                 alt_adj[i].append(node_index[t])
 
     comps = strongly_connected_components(alt_adj)
-    entry_ids = {node_index[v] for v in entry}
-    # restrict to nodes reachable from an entry inside the alternation graph
-    live = set(entry_ids)
-    queue = deque(entry_ids)
-    while queue:
-        i = queue.popleft()
-        for j in alt_adj[i]:
-            if j not in live:
-                live.add(j)
-                queue.append(j)
-    for comp in comps:
-        if len(comp) > 1 and any(i in live for i in comp):
-            return INFINITE
+    if any(len(comp) > 1 for comp in comps):
+        return INFINITE
 
-    # longest path in the (acyclic on live nodes) alternation graph;
-    # components arrive in reverse topological order, so successors first
+    # longest path in the acyclic alternation graph; components arrive in
+    # reverse topological order, so successors first
     height = [0] * len(nodes)
-    for comp in comps:
-        (i,) = comp
-        if i not in live:
-            continue
-        best = 0
-        for j in alt_adj[i]:
-            if height[j] > best:
-                best = height[j]
-        height[i] = best + 1
-    return max(height[i] for i in entry_ids)
+    for (i,) in comps:
+        height[i] = 1 + max((height[j] for j in alt_adj[i]), default=0)
+    return max(height)

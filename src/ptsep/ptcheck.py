@@ -15,10 +15,9 @@ from .automata import (
     Automaton,
     bits,
     complete,
-    determinize,
+    minimal_dfa,
     minimize,
     strongly_connected_components,
-    trim,
 )
 from .errors import NotDeterministic, NotMinimal
 
@@ -126,6 +125,6 @@ def is_pt_minimal_dfa(d: Automaton) -> bool:
 
 
 def is_piecewise_testable(a: Automaton, budget=None) -> bool:
-    """Piecewise testability of L(a) for an arbitrary NFA: determinize,
-    minimize, then test the minimal DFA."""
-    return pt_violation(minimize(determinize(trim(a), budget))) is None
+    """Piecewise testability of L(a) for an arbitrary NFA: test its minimal
+    DFA, which a DFA input reaches without the subset construction."""
+    return pt_violation(minimal_dfa(a, budget)) is None

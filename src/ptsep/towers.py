@@ -20,8 +20,8 @@ from .automata import (
     Automaton,
     Word,
     complement,
-    determinize,
     intersection,
+    minimal_dfa,
     minimize,
     trim,
 )
@@ -74,11 +74,16 @@ class Tower:
 
         if not isinstance(data, dict) or "relation" not in data or "elements" not in data:
             raise SchemaError("tower document needs 'relation' and 'elements'")
+        if not isinstance(data["elements"], list):
+            raise SchemaError("elements: must be a list of {'word': [...], 'side': ...}")
         elements = []
         for i, item in enumerate(data["elements"]):
             if not isinstance(item, dict) or "word" not in item or "side" not in item:
                 raise SchemaError(f"elements[{i}]: expected {{'word': [...], 'side': ...}}")
-            elements.append((tuple(item["word"]), item["side"]))
+            word = item["word"]
+            if not (isinstance(word, list) and all(isinstance(s, str) for s in word)):
+                raise SchemaError(f"elements[{i}].word: must be a list of symbol names")
+            elements.append((tuple(word), item["side"]))
         try:
             return cls(data["relation"], tuple(elements))
         except ValueError as exc:
@@ -134,34 +139,22 @@ def _dfa_key(d: Automaton):
 
 def _canonical_language(a: Automaton, budget=None) -> Automaton:
     """Trimmed canonical minimal DFA: unique per language, cheap to compare,
-    and empty iff it has no states.  Only an NFA goes through the subset
-    construction; products of the chain's DFAs are minimized directly."""
-    if not a.deterministic:
-        a = determinize(a, budget)
-    return trim(minimize(a))
+    and empty iff it has no states."""
+    return trim(minimal_dfa(a, budget))
 
 
 def _intersect_down(base: Automaton, other: Automaton, budget=None) -> Automaton:
     """Canonical automaton for L(base) n down(L(other))."""
     ddown = minimize(down_determinize(other, budget))
-    prod = intersection(base, ddown)
-    return _canonical_language(trim(prod), budget)
+    return _canonical_language(intersection(base, ddown), budget)
 
 
-def refine_step(
-    l_prev: Automaton,
-    r_prev: Automaton,
-    l0: Automaton,
-    r0: Automaton,
-    budget=None,
-):
-    """One chain step: (L_k, R_k) from (L_{k-1}, R_{k-1}) and the originals.
-    Only R_{k-1} feeds the step; L_{k-1} is accepted for signature symmetry
-    and for the callers that iterate the chain pairwise."""
+def refine_step(r_prev: Automaton, l0: Automaton, r0: Automaton, budget=None):
+    """One chain step: (L_k, R_k) from R_{k-1} and the originals.  L_k
+    depends on L0 and R_{k-1} only, so L_{k-1} is not an argument."""
     for x in (r_prev, r0):
         if x.alphabet != l0.alphabet:
             raise AlphabetMismatch("refine_step needs one shared alphabet")
-    del l_prev  # L_k depends on L0 and R_{k-1} only
     lk = _intersect_down(l0, r_prev, budget)
     rk = _intersect_down(r0, lk, budget)
     return lk, rk
@@ -307,14 +300,14 @@ def decide_separability(
     (infinite tower), or the step budget runs out (undecided)."""
     if left.alphabet != right.alphabet:
         raise AlphabetMismatch("decide_separability needs one shared alphabet")
-    l0 = _canonical_language(trim(left), budget)
-    r0 = _canonical_language(trim(right), budget)
+    l0 = _canonical_language(left, budget)
+    r0 = _canonical_language(right, budget)
     chain = RefinementChain(originals=(l0, r0), steps=[], verdict="undecided")
 
     cur_l, cur_r = l0, r0
     prev_keys = (_dfa_key(l0), _dfa_key(r0))
     for k in range(1, max_steps + 1):
-        lk, rk = refine_step(cur_l, cur_r, l0, r0, budget)
+        lk, rk = refine_step(cur_r, l0, r0, budget)
         chain.steps.append((lk, rk))
         if not lk.finals and not rk.finals:
             chain.verdict = "separable"

@@ -24,7 +24,6 @@ from ptsep import (
     is_empty,
     minimize,
     normalize_alphabets,
-    product,
     trim,
     union,
 )
@@ -78,37 +77,43 @@ def test_accepts_paper_examples():
     assert quad.left.accepts(word)
 
 
+def reachable_pairs(a, b):
+    """State pairs that one common word reaches from a pair of initials."""
+    seen = {(p, q) for p in a.initials for q in b.initials}
+    stack = list(seen)
+    while stack:
+        p, q = stack.pop()
+        for sp, sym, tp in a.transitions:
+            for sq, sym2, tq in b.transitions:
+                if sp == p and sq == q and sym == sym2 and (tp, tq) not in seen:
+                    seen.add((tp, tq))
+                    stack.append((tp, tq))
+    return seen
+
+
 def test_product_both_matches_conjunction():
+    # the reachable product is built by intersection()
     rng = random.Random(7)
     for _ in range(25):
         a = random_nfa(rng)
         b = random_nfa(rng)
-        prod = product(a, b, "both")
-        assert prod.state_count == a.state_count * b.state_count
+        prod = intersection(a, b)
+        assert prod.state_labels == tuple(sorted(reachable_pairs(a, b)))
         for w in all_words(("a", "b"), 5):
             assert prod.accepts(w) == (a.accepts(w) and b.accepts(w))
 
 
 def test_product_single_state_loops():
     a = sigma_star(("a",))
-    prod = product(a, a, "both")
+    prod = intersection(a, a)
     assert prod.state_count == 1
+    assert prod.state_labels == ((0, 0),)
     assert prod.accepts(("a", "a"))
-
-
-def test_product_policies():
-    a = ends_with("a", ("a", "b"))
-    b = ends_with("b", ("a", "b"))
-    left_only = product(determinize(a), determinize(b), "left-only")
-    for w in all_words(("a", "b"), 5):
-        assert left_only.accepts(w) == (a.accepts(w) and not b.accepts(w))
-    none = product(a, b, "none")
-    assert is_empty(none)
 
 
 def test_product_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
-        product(sigma_star(("a",)), sigma_star(("a", "b")))
+        intersection(sigma_star(("a",)), sigma_star(("a", "b")))
 
 
 def test_determinize_preserves_language():

@@ -149,6 +149,45 @@ def test_verify_tower_rejects_bad_file(tmp_path, capsys):
     assert "invalid tower" in out
 
 
+@pytest.mark.parametrize("elements, field", [
+    ({"word": ["a1"], "side": "left"}, "elements:"),
+    ([{"word": "a1", "side": "left"}], "elements[0].word"),
+    ([{"word": ["a1"], "side": "left"}, {"word": [1], "side": "right"}],
+     "elements[1].word"),
+])
+def test_verify_tower_malformed_document_exit_code(tmp_path, capsys, elements, field):
+    inst = gen_exp(1)
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_automaton(inst.left, pa)
+    save_automaton(inst.right, pb)
+    tower_path = tmp_path / "tower.json"
+    write_json(tower_path, {"relation": "subsequence", "elements": elements})
+    code = main(["verify-tower", str(pa), str(pb), str(tower_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert field in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("graph, field", [
+    ({"vertices": 3, "edges": [[0, 1]], "t": 1}, "'s'"),
+    ({"vertices": 3, "edges": [[0, 1], [1, 5]], "s": 0, "t": 1}, "edges[1]"),
+    ({"vertices": 3, "edges": [[0, 1]], "s": 0, "t": -1}, "t:"),
+    ({"vertices": "3", "edges": [], "s": 0, "t": 0}, "vertices:"),
+])
+def test_graph_malformed_document_exit_code(tmp_path, capsys, graph, field):
+    gpath = tmp_path / "graph.json"
+    write_json(gpath, graph)
+    for argv in (["oracle", "reach", str(gpath)],
+                 ["reduce", "--kind", "reach", "--input", str(gpath),
+                  "--out-dir", str(tmp_path / "red")]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert field in captured.err
+        assert captured.out == ""
+
+
 def test_reduce_mcvp(tmp_path, capsys):
     circuit = {"gates": [
         {"kind": "ZERO"}, {"kind": "ONE"},

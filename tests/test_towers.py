@@ -79,13 +79,13 @@ def test_upper_bound_height_values():
 def test_refine_step_trivial():
     alphabet = ("a",)
     empty = empty_language(alphabet)
-    lk, rk = refine_step(empty, empty, empty, empty)
+    lk, rk = refine_step(empty, empty, empty)
     assert is_empty(lk) and is_empty(rk)
 
 
 def test_refine_step_shared_singleton_fixpoint():
     word_a = literal(("a",), ("a",))
-    lk, rk = refine_step(word_a, word_a, word_a, word_a)
+    lk, rk = refine_step(word_a, word_a, word_a)
     assert equivalent(lk, word_a)
     assert equivalent(rk, word_a)
 
@@ -94,7 +94,7 @@ def test_refine_step_chain_reaches_empty():
     inst = gen_quadratic(4)
     cur_l, cur_r = inst.left, inst.right
     for _ in range(40):
-        cur_l, cur_r = refine_step(cur_l, cur_r, inst.left, inst.right)
+        cur_l, cur_r = refine_step(cur_r, inst.left, inst.right)
         if is_empty(cur_l) and is_empty(cur_r):
             break
     assert is_empty(cur_l) and is_empty(cur_r)
@@ -106,7 +106,7 @@ def test_refine_step_matches_definition():
     from ptsep import down_closure
 
     inst = gen_exp(1)
-    lk, rk = refine_step(inst.left, inst.right, inst.left, inst.right)
+    lk, rk = refine_step(inst.right, inst.left, inst.right)
     down_r = down_closure(inst.right)
     for w in all_words(inst.left.alphabet, 4):
         assert lk.accepts(w) == (inst.left.accepts(w) and down_r.accepts(w))
