@@ -256,6 +256,29 @@ def strongly_connected_components(adj):
     return comps
 
 
+def fold_reachable(adj, vectors):
+    """OR each int vector over reachability in the digraph ``adj``.
+
+    ``adj`` is a list of neighbor lists and every vector holds one int per
+    node.  For each vector the result holds, at q, the OR of its entries at
+    every node reachable from q, q included.  One SCC pass; components are
+    folded in reverse topological order, so a component reads its
+    successors' finished entries and no reachable set is enumerated.
+    """
+    out = [list(vec) for vec in vectors]
+    for comp in strongly_connected_components(adj):
+        sources = set(comp)
+        for q in comp:
+            sources.update(adj[q])
+        for vec in out:
+            acc = 0
+            for v in sources:
+                acc |= vec[v]
+            for q in comp:
+                vec[q] = acc
+    return out
+
+
 # ---------------------------------------------------------------------------
 # reachability and trimming
 
@@ -405,8 +428,9 @@ def _subset_construction(alphabet, move, start_mask: int, final_mask: int,
                          budget: Optional[int]) -> Automaton:
     """The one subset construction.  ``move[sym][q]`` is the target mask of
     state q under sym; a subset is final when it meets ``final_mask``.  The
-    result is a complete DFA whose labels are the explored subsets (the empty
-    subset is the sink); more than ``budget`` subsets raise BudgetExceeded."""
+    result is a complete DFA over the explored subsets, numbered in BFS order
+    (the empty subset, when reached, is the sink); more than ``budget``
+    subsets raise BudgetExceeded."""
     budget = resolve_budget(budget)
     m = len(alphabet)
     index = {start_mask: 0}
@@ -435,13 +459,12 @@ def _subset_construction(alphabet, move, start_mask: int, final_mask: int,
                 queue.append(target)
             transitions.append((src, sym, dst))
     finals = {i for i, s in enumerate(subsets) if s & final_mask}
-    labels = tuple(frozenset(bits(s)) for s in subsets)
-    return Automaton(len(subsets), alphabet, {0}, finals, transitions, True, labels)
+    return Automaton(len(subsets), alphabet, {0}, finals, transitions, True)
 
 
 def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
-    """Subset construction; the result is a complete DFA whose labels are the
-    source state subsets (the empty subset is the sink)."""
+    """Subset construction; the result is a complete DFA with one state per
+    reachable subset of source states (the empty subset is the sink)."""
     return _subset_construction(a.alphabet, a.move_masks(), a.initial_mask,
                                 a.final_mask, budget)
 
@@ -538,35 +561,12 @@ def minimal_dfa(a: Automaton, budget: Optional[int] = None) -> Automaton:
 
 
 def includes(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:
-    """True iff L(a) contains L(b); decided by emptiness of L(b) minus L(a)."""
+    """True iff L(a) contains L(b); decided by emptiness of L(b) minus L(a).
+    Every state of an intersection is reachable, so that difference is empty
+    exactly when it has no final state."""
     _require_same_alphabet(a, b)
-    if a.deterministic:
-        dfa = complete(a)
-    else:
-        dfa = determinize(a, budget)
-    delta = {}
-    for s, sym, t in dfa.transitions:
-        delta[(s, sym)] = t
-    d0 = next(iter(dfa.initials))
-    adj_b = b.adjacency()
-    dfa_finals = dfa.finals
-    seen = set()
-    queue = deque()
-    for q in b.initials:
-        pair = (q, d0)
-        if pair not in seen:
-            seen.add(pair)
-            queue.append(pair)
-    while queue:
-        q, d = queue.popleft()
-        if q in b.finals and d not in dfa_finals:
-            return False
-        for sym, t in adj_b[q]:
-            pair = (t, delta[(d, sym)])
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
+    dfa = a if a.deterministic else determinize(a, budget)
+    return not intersection(b, complement(dfa)).finals
 
 
 def equivalent(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:
@@ -665,7 +665,9 @@ def automaton_from_dict(data: dict) -> Automaton:
         if not isinstance(sym, str) or sym not in seen:
             raise SchemaError(f"transitions[{i}]: unknown symbol {sym!r}")
         triples.append((src, sym, dst))
-    deterministic = bool(data.get("deterministic", False))
+    deterministic = data.get("deterministic", False)
+    if not isinstance(deterministic, bool):
+        raise SchemaError("deterministic: must be a JSON boolean (true or false)")
     try:
         return Automaton(states, alphabet, data["initials"], data["finals"],
                          triples, deterministic)

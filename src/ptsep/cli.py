@@ -29,12 +29,6 @@ from .automata import (
 from .errors import PtsepError, SchemaError
 from .towers import Tower, upper_bound_height
 
-try:
-    import tomllib
-except ImportError:  # 3.10
-    tomllib = None
-
-
 @dataclass
 class Report:
     command: str
@@ -128,28 +122,13 @@ def _save_json(data, path):
         handle.write("\n")
 
 
-def _apply_config(args):
-    """--config TOML file may preset budget/max-steps style options."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    if tomllib is None:
-        raise PtsepError("TOML configuration needs Python >= 3.11")
-    with open(path, "rb") as handle:
-        data = tomllib.load(handle)
-    for key, value in data.items():
-        key = key.replace("-", "_")
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-
-
 def cmd_analyze(args) -> int:
     report = Report("analyze")
     left, right = _load_pair(args.left, args.right)
     with _Timer(report, "decide"):
         result = towers.decide_separability(
             left, right,
-            max_steps=args.max_steps or 512,
+            max_steps=args.max_steps,
             budget=args.budget,
             witness_height=args.witness_height,
             with_separator=True,
@@ -371,12 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--budget", type=int, default=None,
                        help="state/enumeration budget (default: PTSEP_BUDGET or 2^20)")
-        p.add_argument("--config", default=None, help="TOML file with option presets")
 
     p = sub.add_parser("analyze", help="decide separability and build a separator")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-steps", type=int, default=512)
     p.add_argument("--witness-height", type=int, default=3)
     p.add_argument("--out", default=None, help="write the separator automaton here")
     common(p)
@@ -447,7 +425,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
         return args.func(args)
     except PtsepError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Subsequence embedding and downward/upward closure constructions.
 
 ``down(L)`` holds every subsequence of every word of L and is built by adding
-a silent move alongside every transition, then eliminating silent moves so
-the result is a plain NFA over the same state set.  ``up(L)`` holds every
-supersequence and is built by adding self-loops under all letters.
+a silent move alongside every transition, then eliminating silent moves with
+one :func:`~ptsep.automata.fold_reachable` pass, so the result is a plain NFA
+over the same state set.  ``up(L)`` holds every supersequence and is built
+by adding self-loops under all letters.
 """
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ from .automata import (
     Automaton,
     _subset_construction,
     bits,
+    fold_reachable,
     includes,
-    strongly_connected_components,
+    mask_of,
 )
 from .errors import AlphabetMismatch
 
@@ -29,64 +31,25 @@ def is_prefix(v: Sequence[str], w: Sequence[str]) -> bool:
     return len(v) <= len(w) and tuple(w[: len(v)]) == tuple(v)
 
 
-def _silent_sccs(a: Automaton):
-    """SCC decomposition of the silent-move digraph (q -> q' whenever some
-    letter moves q to q'), in reverse topological order."""
-    n = a.state_count
-    succ = [set() for _ in range(n)]
-    for src, _, dst in a.transitions:
-        if src != dst:
-            succ[src].add(dst)
-    adj = [sorted(s) for s in succ]
-    return adj, strongly_connected_components(adj)
-
-
 def _down_tables(a: Automaton):
     """Per-state masks for the silent-move elimination.
 
     Returns (move, final_mask) where move[sym][q] is the target mask of the
     eliminated automaton and final_mask marks states with a silent path into
-    an original final state.  Computed by dynamic programming over the SCC
-    condensation, so dense closures are never enumerated state by state.
+    an original final state.  Both come from one
+    :func:`~ptsep.automata.fold_reachable` pass of the letter moves and the
+    final bits over the silent-move digraph (q -> q' whenever some letter
+    moves q to q'), so dense closures are never enumerated state by state.
     """
     n = a.state_count
-    m = len(a.alphabet)
-    masks = a.move_masks()
-    adj, comps = _silent_sccs(a)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for q in comp:
-            comp_of[q] = ci
-    comp_succ = [set() for _ in comps]
-    for q in range(n):
-        for t in adj[q]:
-            if comp_of[t] != comp_of[q]:
-                comp_succ[comp_of[q]].add(comp_of[t])
-    # comps are in reverse topological order: successors come first
-    comp_move = [[0] * len(comps) for _ in range(m)]
-    comp_final = [0] * len(comps)
+    succ = [set() for _ in range(n)]
+    for src, _, dst in a.transitions:
+        if src != dst:
+            succ[src].add(dst)
     fmask = a.final_mask
-    for ci, comp in enumerate(comps):
-        fin = 0
-        rows = [0] * m
-        for q in comp:
-            if (fmask >> q) & 1:
-                fin = 1
-            for sym in range(m):
-                rows[sym] |= masks[sym][q]
-        for cj in comp_succ[ci]:
-            fin |= comp_final[cj]
-            for sym in range(m):
-                rows[sym] |= comp_move[sym][cj]
-        comp_final[ci] = fin
-        for sym in range(m):
-            comp_move[sym][ci] = rows[sym]
-    move = [[comp_move[sym][comp_of[q]] for q in range(n)] for sym in range(m)]
-    final_mask = 0
-    for q in range(n):
-        if comp_final[comp_of[q]]:
-            final_mask |= 1 << q
-    return move, final_mask
+    *move, final = fold_reachable([list(s) for s in succ],
+                                  [*a.move_masks(), [(fmask >> q) & 1 for q in range(n)]])
+    return move, mask_of(q for q in range(n) if final[q])
 
 
 def down_closure(a: Automaton) -> Automaton:

@@ -56,6 +56,8 @@ class Circuit:
     def from_dict(cls, data: dict) -> "Circuit":
         if not isinstance(data, dict) or "gates" not in data:
             raise SchemaError("circuit document needs a 'gates' list")
+        if not isinstance(data["gates"], list):
+            raise SchemaError("gates: must be a list of gate objects")
         gates = []
         for i, item in enumerate(data["gates"]):
             if not isinstance(item, dict) or "kind" not in item:

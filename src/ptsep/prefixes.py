@@ -24,8 +24,11 @@ from typing import Optional
 from .automata import (
     Automaton,
     Word,
+    bits,
     determinize,
+    fold_reachable,
     intersection,
+    mask_of,
     strongly_connected_components,
     trim,
 )
@@ -239,31 +242,26 @@ def max_prefix_tower_height(a: Automaton, b: Automaton, budget=None):
     if prod.finals:
         raise ValueError("languages must be disjoint")
     labels = prod.state_labels
-    adj = prod.adjacency()
+    succ = [list({t for _, t in row}) for row in prod.adjacency()]
     in_x = [p in da.finals for p, _ in labels]
     in_y = [q in db.finals for _, q in labels]
     nodes = [v for v in range(prod.state_count) if in_x[v] or in_y[v]]
     if not nodes:
         return 0
 
-    # alternation edges: from u, every opposite-class state reachable by a
-    # nonempty word
+    # alternation edges: from v, every opposite-class state reachable by a
+    # nonempty word, i.e. reachable from one of v's successors
+    (reach,) = fold_reachable(succ, [[1 << v for v in range(prod.state_count)]])
+    x_mask = mask_of(v for v in nodes if in_x[v])
+    y_mask = mask_of(v for v in nodes if in_y[v])
     node_index = {v: i for i, v in enumerate(nodes)}
-    alt_adj = [[] for _ in nodes]
-    for i, v in enumerate(nodes):
-        frontier = {t for _, t in adj[v]}
-        reach = set(frontier)
-        queue = deque(frontier)
-        while queue:
-            w = queue.popleft()
-            for _, t in adj[w]:
-                if t not in reach:
-                    reach.add(t)
-                    queue.append(t)
-        want = in_y if in_x[v] else in_x
-        for t in sorted(reach):
-            if want[t]:
-                alt_adj[i].append(node_index[t])
+    alt_adj = []
+    for v in nodes:
+        later = 0
+        for t in succ[v]:
+            later |= reach[t]
+        later &= y_mask if in_x[v] else x_mask
+        alt_adj.append([node_index[t] for t in bits(later)])
 
     comps = strongly_connected_components(alt_adj)
     if any(len(comp) > 1 for comp in comps):

@@ -5,7 +5,8 @@ transition graph contains a cycle through at least two distinct states
 (condition 1), or when three distinct states p, q, q' exist with paths from
 p to q and from p to q' inside the graph restricted to the letters that
 self-loop on both q and q' (condition 2).  NFAs are handled by determinizing
-and minimizing first.
+and minimizing first.  Condition 2 reads ancestor sets off
+:func:`~ptsep.automata.fold_reachable` over the reversed restricted graph.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from .automata import (
     Automaton,
     bits,
     complete,
+    fold_reachable,
     minimal_dfa,
     minimize,
     strongly_connected_components,
@@ -76,34 +78,15 @@ def pt_violation(d: Automaton) -> Optional[tuple]:
 
     def ancestors(gamma: int):
         anc = ancestors_cache.get(gamma)
-        if anc is not None:
-            return anc
-        # reflexive-transitive closure over the reversed restricted graph,
-        # via SCC condensation of the forward graph
-        fadj = [set() for _ in range(n)]
-        for sym in bits(gamma):
-            for s, t in by_sym[sym]:
-                fadj[s].add(t)
-        comps = strongly_connected_components([sorted(x) for x in fadj])
-        comp_of = [0] * n
-        for ci, comp in enumerate(comps):
-            for q in comp:
-                comp_of[q] = ci
-        comp_anc = [0] * len(comps)
-        # comps in reverse topological order: process sources last; ancestors
-        # flow forward, so iterate components from sources to sinks
-        for ci in range(len(comps) - 1, -1, -1):
-            mask = 0
-            for q in comps[ci]:
-                mask |= 1 << q
-            comp_anc[ci] |= mask
-            for q in comps[ci]:
-                for t in fadj[q]:
-                    cj = comp_of[t]
-                    if cj != ci:
-                        comp_anc[cj] |= comp_anc[ci]
-        anc = [comp_anc[comp_of[q]] for q in range(n)]
-        ancestors_cache[gamma] = anc
+        if anc is None:
+            # ancestors of q = states reachable from q in the reversed
+            # gamma-restricted graph
+            radj = [[] for _ in range(n)]
+            for sym in bits(gamma):
+                for s, t in by_sym[sym]:
+                    radj[t].append(s)
+            (anc,) = fold_reachable(radj, [[1 << q for q in range(n)]])
+            ancestors_cache[gamma] = anc
         return anc
 
     for q in range(n):

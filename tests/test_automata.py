@@ -27,6 +27,7 @@ from ptsep import (
     trim,
     union,
 )
+from ptsep.automata import fold_reachable
 from conftest import (
     accepted_set,
     all_words,
@@ -272,8 +273,40 @@ def test_json_roundtrip():
       "transitions": [[0, "q", 1]]}, "transitions[0]"),
     ({"alphabet": ["a"], "states": 1, "initials": [0], "finals": []},
      "transitions"),
-], ids=["dup-symbol", "bad-initial", "bad-target", "bad-symbol", "missing"])
+    ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
+      "transitions": [[0, "a", 0], [0, "a", 1]], "deterministic": "false"},
+     "deterministic:"),
+], ids=["dup-symbol", "bad-initial", "bad-target", "bad-symbol", "missing",
+        "bad-deterministic"])
 def test_json_schema_errors(doc, fragment):
     with pytest.raises(SchemaError) as err:
         automaton_from_dict(doc)
     assert fragment in str(err.value)
+
+
+def test_fold_reachable_matches_bfs():
+    """Each folded entry is the OR over a BFS of the nodes reachable from
+    it; the digraphs include self-loops, cycles and isolated nodes."""
+    rng = random.Random(5)
+    for trial in range(300):
+        n = trial % 13
+        adj = [[] for _ in range(n)]
+        for _ in range(rng.randrange(2 * n + 1)):
+            src = rng.randrange(n)
+            adj[src].append(rng.choice([src, rng.randrange(n)]))
+        vectors = [[rng.randrange(16) for _ in range(n)] for _ in range(3)]
+        vectors.append([1 << q for q in range(n)])
+        folded = fold_reachable(adj, vectors)
+        for q in range(n):
+            seen = {q}
+            stack = [q]
+            while stack:
+                for t in adj[stack.pop()]:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            for vec, out in zip(vectors, folded):
+                want = 0
+                for v in seen:
+                    want |= vec[v]
+                assert out[q] == want

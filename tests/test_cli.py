@@ -58,6 +58,17 @@ def test_analyze_same_file_twice(pair_files, tmp_path, capsys):
     assert report["verdict"] == "infinite_tower"
 
 
+def test_analyze_max_steps_zero_undecided(tmp_path, capsys):
+    inst = gen_exp(1)
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_automaton(inst.left, pa)
+    save_automaton(inst.right, pb)
+    code = main(["analyze", str(pa), str(pb), "--max-steps", "0", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["verdict"] == "undecided"
+
+
 def test_analyze_report_determinism(pair_files, capsys):
     left, right = pair_files
     main(["analyze", left, right, "--json"])
@@ -205,6 +216,17 @@ def test_reduce_mcvp(tmp_path, capsys):
                  "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["verdict"] == "separable"
+
+
+def test_reduce_mcvp_malformed_gates_exit_code(tmp_path, capsys):
+    cpath = tmp_path / "circuit.json"
+    write_json(cpath, {"gates": 5})
+    code = main(["reduce", "--kind", "mcvp", "--input", str(cpath),
+                 "--out-dir", str(tmp_path / "red")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "gates:" in captured.err
+    assert captured.out == ""
 
 
 def test_reduce_reach_and_oracle(tmp_path, capsys):
