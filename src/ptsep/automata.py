@@ -9,12 +9,21 @@ symbol names, so they can travel between automata that share an alphabet.
 Partial transition functions are allowed in stored automata; completion with
 an explicit sink happens inside :func:`determinize`, :func:`complement` and
 :func:`minimize`.
+
+The constructions run on one flat form, a complete DFA ``(n, delta, finals)``
+over m letters with initial state 0: ``delta[q*m + sym]`` is the target of q
+under sym.  The subset construction returns it and the minimization, product
+and trim kernels take it, so the refinement chain runs on it end to end.
+:class:`Automaton` validates every field and is built only at the boundary,
+by the public functions and by :func:`automaton_from_dict`.
 """
 from __future__ import annotations
 
 import json
 import os
-from collections import deque
+from bisect import bisect_left
+from collections import defaultdict
+from itertools import count
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -206,53 +215,41 @@ def strongly_connected_components(adj):
     entry in the result).
     """
     n = len(adj)
-    UNSEEN = -1
-    num = [UNSEEN] * n
+    num = [-1] * n  # -1: not visited yet
     low = [0] * n
     on_stack = [False] * n
-    stack = []
-    comps = []
-    counter = 0
+    stack, comps, work = [], [], []
+    counter = count()
+
+    def enter(v):
+        num[v] = low[v] = next(counter)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(adj[v])))
+
     for root in range(n):
-        if num[root] != UNSEEN:
-            continue
-        work = [(root, 0)]
+        if num[root] < 0:
+            enter(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                num[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj[v]
-            i = pi
-            while i < len(neighbors):
-                w = neighbors[i]
-                i += 1
-                if num[w] == UNSEEN:
-                    work[-1] = (v, i)
-                    work.append((w, 0))
-                    advanced = True
+            v, neighbors = work[-1]
+            for w in neighbors:  # resumes after the last child entered
+                if num[w] < 0:
+                    enter(w)
                     break
                 if on_stack[w] and num[w] < low[v]:
                     low[v] = num[w]
-            if advanced:
-                continue
-            if low[v] == num[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+            else:
+                work.pop()
+                if low[v] == num[v]:
+                    comp = []
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                    comps.append(comp)
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
     return comps
 
 
@@ -283,40 +280,27 @@ def fold_reachable(adj, vectors):
 # reachability and trimming
 
 
-def _forward_reachable(a: Automaton) -> set:
-    adj = [[] for _ in range(a.state_count)]
-    for src, _, dst in a.transitions:
+def _reachable(n: int, pairs, sources) -> set:
+    """States reachable from ``sources`` along the (source, target) pairs."""
+    adj = [[] for _ in range(n)]
+    for src, dst in pairs:
         adj[src].append(dst)
-    seen = set(a.initials)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        for t in adj[q]:
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for t in adj[stack.pop()]:
             if t not in seen:
                 seen.add(t)
-                queue.append(t)
-    return seen
-
-
-def _backward_reachable(a: Automaton) -> set:
-    radj = [[] for _ in range(a.state_count)]
-    for src, _, dst in a.transitions:
-        radj[dst].append(src)
-    seen = set(a.finals)
-    queue = deque(seen)
-    while queue:
-        q = queue.popleft()
-        for t in radj[q]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
+                stack.append(t)
     return seen
 
 
 def trim(a: Automaton) -> Automaton:
     """Drop states that are not on any accepting path; language preserved."""
-    useful = _forward_reachable(a) & _backward_reachable(a)
-    if len(useful) == a.state_count:
+    n = a.state_count
+    useful = (_reachable(n, ((s, t) for s, _, t in a.transitions), a.initials)
+              & _reachable(n, ((t, s) for s, _, t in a.transitions), a.finals))
+    if len(useful) == n:
         return a
     order = sorted(useful)
     remap = {q: i for i, q in enumerate(order)}
@@ -327,20 +311,74 @@ def trim(a: Automaton) -> Automaton:
     }
     initials = {remap[q] for q in a.initials if q in useful}
     finals = {remap[q] for q in a.finals if q in useful}
-    labels = None
-    if a.state_labels is not None:
-        labels = tuple(a.state_labels[q] for q in order)
     deterministic = a.deterministic and len(initials) == 1
-    return Automaton(len(order), a.alphabet, initials, finals, transitions,
-                     deterministic, labels)
+    return Automaton(len(order), a.alphabet, initials, finals, transitions, deterministic)
+
+
+def _sink(m: int, dfa):
+    """The state of empty language of a minimal flat DFA, or None.  It is
+    unique, nonfinal and loops on every letter."""
+    n, delta, finals = dfa
+    for q in range(n):
+        base = q * m
+        if delta[base] == q and q not in finals and delta[base:base + m].count(q) == m:
+            return q
+    return None
+
+
+def _trim_rows(m: int, dfa):
+    """The trim kernel for a minimal flat DFA: its successor rows (see
+    :func:`_rows`) without moves into the sink, and the start mask of the
+    trimmed automaton, 0 when the language is empty."""
+    sink = _sink(m, dfa)
+    return [() if t == sink else (t,) for t in dfa[1]], int(sink != 0)
 
 
 def is_empty(a: Automaton) -> bool:
-    return not (_forward_reachable(a) & set(a.finals))
+    return not trim(a).finals
 
 
 # ---------------------------------------------------------------------------
 # product and boolean operations
+
+
+def _rows(a: Automaton) -> list:
+    """Successor rows: ``rows[q*m + sym]`` holds the targets of q under sym."""
+    m = len(a.alphabet)
+    rows = [()] * (a.state_count * m)
+    for src, sym, dst in a.transitions:
+        rows[src * m + sym] += (dst,)
+    return rows
+
+
+def _product(rows_a, rows_b, nb: int, m: int, starts, finals_a, finals_b):
+    """The one product construction: the part of the synchronized product
+    that one common word reaches from a start pair, for two automata given by
+    their successor rows (see :func:`_rows`).  Pair (p, q) has key p*nb + q.
+    Returns (keys, moves, finals): the reached keys in ascending order, the
+    moves as (source, symbol, target) triples over positions in ``keys``, and
+    the positions where both sides accept."""
+    seen = set(starts)
+    stack = list(seen)
+    edges = []
+    while stack:
+        key = stack.pop()
+        p, q = divmod(key, nb)
+        pa, qb = p * m, q * m
+        for sym in range(m):
+            for ta in rows_a[pa + sym]:
+                for tb in rows_b[qb + sym]:
+                    dst = ta * nb + tb
+                    edges.append((key, sym, dst))
+                    if dst not in seen:
+                        seen.add(dst)
+                        stack.append(dst)
+    keys = sorted(seen)
+    index = {key: i for i, key in enumerate(keys)}
+    moves = [(index[s], sym, index[t]) for s, sym, t in edges]
+    finals = {i for i, key in enumerate(keys)
+              if key // nb in finals_a and key % nb in finals_b}
+    return keys, moves, finals
 
 
 def intersection(a: Automaton, b: Automaton) -> Automaton:
@@ -351,34 +389,12 @@ def intersection(a: Automaton, b: Automaton) -> Automaton:
     is reachable, and a final state is a common word of L(a) and L(b)."""
     _require_same_alphabet(a, b)
     nb = b.state_count
-    succ_a = [[] for _ in range(a.state_count)]
-    for src, sym, dst in a.transitions:
-        succ_a[src].append((sym, dst))
-    succ_b = [{} for _ in range(nb)]
-    for src, sym, dst in b.transitions:
-        succ_b[src].setdefault(sym, []).append(dst)
     starts = {p * nb + q for p in a.initials for q in b.initials}
-    seen = set(starts)
-    stack = list(starts)
-    edges = []
-    while stack:
-        key = stack.pop()
-        p, q = divmod(key, nb)
-        moves_b = succ_b[q]
-        for sym, ta in succ_a[p]:
-            for tb in moves_b.get(sym, ()):
-                dst = ta * nb + tb
-                edges.append((key, sym, dst))
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-    order = sorted(seen)
-    index = {key: i for i, key in enumerate(order)}
-    labels = tuple(divmod(key, nb) for key in order)
-    finals = {i for i, (p, q) in enumerate(labels) if p in a.finals and q in b.finals}
-    return Automaton(len(order), a.alphabet, {index[key] for key in starts}, finals,
-                     [(index[s], sym, index[t]) for s, sym, t in edges],
-                     a.deterministic and b.deterministic, labels)
+    keys, moves, finals = _product(_rows(a), _rows(b), nb, len(a.alphabet), starts,
+                                   a.finals, b.finals)
+    return Automaton(len(keys), a.alphabet, {bisect_left(keys, key) for key in starts},
+                     finals, moves, a.deterministic and b.deterministic,
+                     tuple(divmod(key, nb) for key in keys))
 
 
 def union(a: Automaton, b: Automaton) -> Automaton:
@@ -392,28 +408,35 @@ def union(a: Automaton, b: Automaton) -> Automaton:
     return Automaton(off + b.state_count, a.alphabet, initials, finals, transitions)
 
 
+def _complete(n: int, m: int, transitions):
+    """(states, delta) of a deterministic transition relation on n states,
+    completed by a sink, state n, added only when some move is missing."""
+    delta = [n] * (n * m)
+    for src, sym, dst in transitions:
+        delta[src * m + sym] = dst
+    if not n or n in delta:
+        delta += [n] * m
+        n += 1
+    return n, delta
+
+
+def _automaton(alphabet, dfa) -> Automaton:
+    """The public, validated form of a flat DFA."""
+    m = len(alphabet)
+    return Automaton(dfa[0], alphabet, {0}, dfa[2],
+                     [(i // m, i % m, t) for i, t in enumerate(dfa[1])], True)
+
+
 def complete(d: Automaton) -> Automaton:
     """Make a deterministic automaton complete by adding an explicit sink."""
     if not d.deterministic and d.state_count > 0:
         raise NotDeterministic("complete() expects a deterministic automaton")
-    n = d.state_count
     m = len(d.alphabet)
-    defined = {(s, sym) for s, sym, _ in d.transitions}
-    if n > 0 and len(defined) == n * m:
+    n, delta = _complete(d.state_count, m, d.transitions)
+    if n == d.state_count:
         return d
-    sink = n
-    transitions = set(d.transitions)
-    for q in range(n):
-        for sym in range(m):
-            if (q, sym) not in defined:
-                transitions.add((q, sym, sink))
-    for sym in range(m):
-        transitions.add((sink, sym, sink))
-    initials = set(d.initials) if d.initials else {sink}
-    labels = None
-    if d.state_labels is not None:
-        labels = tuple(d.state_labels) + (None,)
-    return Automaton(n + 1, d.alphabet, initials, d.finals, transitions, True, labels)
+    return Automaton(n, d.alphabet, d.initials or {n - 1}, d.finals,
+                     [(i // m, i % m, t) for i, t in enumerate(delta)], True)
 
 
 def complement(d: Automaton) -> Automaton:
@@ -424,140 +447,144 @@ def complement(d: Automaton) -> Automaton:
                      d.transitions, True, d.state_labels)
 
 
-def _subset_construction(alphabet, move, start_mask: int, final_mask: int,
-                         budget: Optional[int]) -> Automaton:
+def _complement(dfa):
+    return dfa[0], dfa[1], set(range(dfa[0])) - dfa[2]
+
+
+def _subset_construction(move, start_mask: int, final_mask: int,
+                         budget: Optional[int]):
     """The one subset construction.  ``move[sym][q]`` is the target mask of
     state q under sym; a subset is final when it meets ``final_mask``.  The
-    result is a complete DFA over the explored subsets, numbered in BFS order
+    result is the flat DFA over the explored subsets, numbered in BFS order
     (the empty subset, when reached, is the sink); more than ``budget``
     subsets raise BudgetExceeded."""
     budget = resolve_budget(budget)
-    m = len(alphabet)
     index = {start_mask: 0}
     subsets = [start_mask]
-    transitions = []
-    queue = deque([start_mask])
-    while queue:
-        current = queue.popleft()
-        src = index[current]
-        for sym in range(m):
-            row = move[sym]
+    delta = []
+    for current in subsets:  # grows while it is scanned
+        members = list(bits(current))
+        for row in move:
             target = 0
-            rest = current
-            while rest:
-                low = rest & -rest
-                target |= row[low.bit_length() - 1]
-                rest ^= low
+            for q in members:
+                target |= row[q]
             dst = index.get(target)
             if dst is None:
                 if len(subsets) >= budget:
                     raise BudgetExceeded(
                         f"subset construction exceeded budget of {budget} states")
-                dst = len(subsets)
-                index[target] = dst
+                dst = index[target] = len(subsets)
                 subsets.append(target)
-                queue.append(target)
-            transitions.append((src, sym, dst))
-    finals = {i for i, s in enumerate(subsets) if s & final_mask}
-    return Automaton(len(subsets), alphabet, {0}, finals, transitions, True)
+            delta.append(dst)
+    return len(subsets), delta, {i for i, s in enumerate(subsets) if s & final_mask}
 
 
 def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
     """Subset construction; the result is a complete DFA with one state per
     reachable subset of source states (the empty subset is the sink)."""
-    return _subset_construction(a.alphabet, a.move_masks(), a.initial_mask,
-                                a.final_mask, budget)
+    return _automaton(a.alphabet, _subset_construction(
+        a.move_masks(), a.initial_mask, a.final_mask, budget))
 
 
 def _hopcroft_blocks(n, m, delta, finals):
-    """Hopcroft partition refinement on a complete DFA given as a flat
-    ``delta[q*m + sym]`` table.  Returns the block id of every state."""
-    finals = set(finals)
-    part_f = [q for q in range(n) if q in finals]
-    part_n = [q for q in range(n) if q not in finals]
-    blocks = []
-    block_of = [0] * n
-    for group in (part_f, part_n):
-        if group:
-            bid = len(blocks)
-            for q in group:
-                block_of[q] = bid
-            blocks.append(set(group))
-    if len(blocks) < 2:
+    """Hopcroft partition refinement on a complete flat DFA.  Returns the
+    block id of every state.  Inverse moves are stored per letter for the
+    targets that have predecessors, and a block is queued as a splitter only
+    under the letters that lead into it: any other splits nothing."""
+    block_of = [int(q not in finals) for q in range(n)]
+    blocks = [set(), set()]
+    for q, bid in enumerate(block_of):
+        blocks[bid].add(q)
+    if not all(blocks):
         return block_of
-    inv = [[[] for _ in range(n)] for _ in range(m)]
-    for q in range(n):
-        base = q * m
-        for sym in range(m):
-            inv[sym][delta[base + sym]].append(q)
-    smaller = min(range(len(blocks)), key=lambda i: len(blocks[i]))
-    work = deque((frozenset(blocks[smaller]), sym) for sym in range(m))
+    inv = []
+    into = [0] * n  # mask of the letters that lead into each state
+    for sym in range(m):
+        rows = defaultdict(list)
+        for q, t in enumerate(delta[sym::m]):
+            rows[t].append(q)
+        for t in rows:
+            into[t] |= 1 << sym
+        inv.append(rows)
+    work = []
+
+    def push(block):
+        letters = 0
+        for t in block:
+            letters |= into[t]
+        splitter = tuple(block)
+        work.extend((splitter, sym) for sym in bits(letters))
+
+    push(min(blocks, key=len))
     while work:
-        splitter, sym = work.popleft()
-        pre = set()
+        splitter, sym = work.pop()
         rows = inv[sym]
+        touched = defaultdict(list)  # a DFA: the preimages are disjoint
         for t in splitter:
-            pre.update(rows[t])
-        touched = {}
-        for q in pre:
-            touched.setdefault(block_of[q], set()).add(q)
+            for q in rows.get(t, ()):
+                touched[block_of[q]].append(q)
         for bid, inside in touched.items():
             block = blocks[bid]
             if len(inside) == len(block):
                 continue
-            rest = block - inside
-            if len(inside) > len(rest):
-                inside, rest = rest, inside
-            blocks[bid] = rest
+            if 2 * len(inside) > len(block):
+                inside = block.difference(inside)
+            block.difference_update(inside)
             new_bid = len(blocks)
-            blocks.append(inside)
+            blocks.append(set(inside))
             for q in inside:
                 block_of[q] = new_bid
-            frozen = frozenset(inside)
-            for s2 in range(m):
-                work.append((frozen, s2))
+            push(inside)
     return block_of
 
 
-def minimize(d: Automaton) -> Automaton:
-    """Minimal complete DFA via Hopcroft refinement, canonically numbered:
-    blocks get ids in BFS order from the initial block, letters in alphabet
-    order, so language-equal inputs give identical automata.  Blocks of
-    unreachable states are never visited.  The sink counts as a state
-    whenever it is reachable."""
-    if not d.deterministic and d.state_count > 0:
-        raise NotDeterministic("minimize() expects a deterministic automaton")
-    d = complete(d)
-    n, m = d.state_count, len(d.alphabet)
-    delta = [0] * (n * m)
-    for s, sym, t in d.transitions:
-        delta[s * m + sym] = t
-    block_of = _hopcroft_blocks(n, m, delta, d.finals)
-    repr_of = {}
-    for q in range(n):
-        repr_of.setdefault(block_of[q], q)
-    order = [block_of[next(iter(d.initials))]]
+def _minimize(m: int, dfa, start: int = 0):
+    """Minimal form of a complete flat DFA via Hopcroft refinement,
+    canonically numbered: blocks get ids in BFS order from the block of
+    ``start``, letters in alphabet order, so language-equal inputs give
+    identical output.  Blocks of unreachable states are never visited.  The
+    sink counts as a state whenever it is reachable."""
+    n, delta, finals = dfa
+    block_of = _hopcroft_blocks(n, m, delta, finals)
+    repr_of = {block: q for q, block in enumerate(block_of)}
+    order = [block_of[start]]
     number = {order[0]: 0}
-    transitions = []
-    for src, block in enumerate(order):  # order grows while it is scanned
+    out = []
+    for block in order:  # order grows while it is scanned
         base = repr_of[block] * m
-        for sym in range(m):
-            target = block_of[delta[base + sym]]
+        for t in delta[base:base + m]:
+            target = block_of[t]
             dst = number.get(target)
             if dst is None:
                 dst = number[target] = len(order)
                 order.append(target)
-            transitions.append((src, sym, dst))
-    final_blocks = {block_of[q] for q in d.finals}
-    finals = {i for i, block in enumerate(order) if block in final_blocks}
-    return Automaton(len(order), d.alphabet, {0}, finals, transitions, True)
+            out.append(dst)
+    final_blocks = {block_of[q] for q in finals}
+    return len(order), out, {i for i, block in enumerate(order) if block in final_blocks}
+
+
+def minimize(d: Automaton) -> Automaton:
+    """Minimal complete DFA, canonically numbered (see :func:`_minimize`)."""
+    if not d.deterministic and d.state_count > 0:
+        raise NotDeterministic("minimize() expects a deterministic automaton")
+    return _automaton(d.alphabet, _minimal(d))
+
+
+def _minimal(a: Automaton, budget: Optional[int] = None):
+    """The canonical minimal flat DFA of L(a): trim, then the subset
+    construction only when the input is nondeterministic, then minimize."""
+    a = trim(a)
+    m = len(a.alphabet)
+    if not a.deterministic:
+        return _minimize(m, _subset_construction(
+            a.move_masks(), a.initial_mask, a.final_mask, budget))
+    n, delta = _complete(a.state_count, m, a.transitions)
+    return _minimize(m, (n, delta, a.finals), min(a.initials))
 
 
 def minimal_dfa(a: Automaton, budget: Optional[int] = None) -> Automaton:
-    """The canonical minimal complete DFA of L(a): trim, then the subset
-    construction only when the input is nondeterministic, then minimize."""
-    a = trim(a)
-    return minimize(a if a.deterministic else determinize(a, budget))
+    """The canonical minimal complete DFA of L(a)."""
+    return _automaton(a.alphabet, _minimal(a, budget))
 
 
 def includes(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:
@@ -583,12 +610,7 @@ def difference(a: Automaton, b: Automaton, budget: Optional[int] = None) -> Auto
 def normalize_alphabets(a: Automaton, b: Automaton):
     """Re-index both automata onto the merged alphabet (a's symbols first,
     then b's extras in b's order)."""
-    merged = list(a.alphabet)
-    have = set(merged)
-    for name in b.alphabet:
-        if name not in have:
-            merged.append(name)
-            have.add(name)
+    merged = list(dict.fromkeys(a.alphabet + b.alphabet))
 
     def reindex(x: Automaton) -> Automaton:
         if tuple(merged) == x.alphabet:
@@ -637,17 +659,23 @@ def automaton_from_dict(data: dict) -> Automaton:
         if name in seen:
             raise SchemaError(f"alphabet[{i}]: duplicate symbol {name!r}")
         seen.add(name)
+
+    def whole(value, bound=None):  # JSON true and false are ints in Python
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and 0 <= value and (bound is None or value < bound))
+
     states = data["states"]
-    if not isinstance(states, int) or states < 0:
+    if not whole(states):
         raise SchemaError("states: must be a non-negative integer")
+
     for field in ("initials", "finals"):
         ids = data[field]
         if not isinstance(ids, list):
             raise SchemaError(f"{field}: must be a list of state ids")
         for i, q in enumerate(ids):
-            if not isinstance(q, int) or not (0 <= q < states):
+            if not whole(q, states):
                 raise SchemaError(
-                    f"{field}[{i}]: state id {q!r} out of range (states={states})")
+                    f"{field}[{i}]: {q!r} is not a state id (states={states})")
     transitions = data["transitions"]
     if not isinstance(transitions, list):
         raise SchemaError("transitions: must be a list of [source, symbol, target]")
@@ -656,12 +684,12 @@ def automaton_from_dict(data: dict) -> Automaton:
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(f"transitions[{i}]: expected [source, symbol, target]")
         src, sym, dst = item
-        if not isinstance(src, int) or not (0 <= src < states):
+        if not whole(src, states):
             raise SchemaError(
-                f"transitions[{i}]: source {src!r} out of range (states={states})")
-        if not isinstance(dst, int) or not (0 <= dst < states):
+                f"transitions[{i}]: source {src!r} is not a state id (states={states})")
+        if not whole(dst, states):
             raise SchemaError(
-                f"transitions[{i}]: target {dst!r} out of range (states={states})")
+                f"transitions[{i}]: target {dst!r} is not a state id (states={states})")
         if not isinstance(sym, str) or sym not in seen:
             raise SchemaError(f"transitions[{i}]: unknown symbol {sym!r}")
         triples.append((src, sym, dst))

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import families, oracles, prefixes, ptcheck, towers
@@ -56,18 +57,13 @@ class Report:
         emit("", self.data)
 
 
-class _Timer:
-    def __init__(self, report: Report, name: str):
-        self.report = report
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.report.timings_ms[self.name] = round(
-            (time.perf_counter() - self.start) * 1000.0, 3)
+@contextmanager
+def _timer(report: Report, name: str):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.timings_ms[name] = round((time.perf_counter() - start) * 1000.0, 3)
 
 
 def _emit(report: Report, args) -> None:
@@ -125,7 +121,7 @@ def _save_json(data, path):
 def cmd_analyze(args) -> int:
     report = Report("analyze")
     left, right = _load_pair(args.left, args.right)
-    with _Timer(report, "decide"):
+    with _timer(report, "decide"):
         result = towers.decide_separability(
             left, right,
             max_steps=args.max_steps,
@@ -140,7 +136,7 @@ def cmd_analyze(args) -> int:
     if result.separator is not None:
         separator = result.separator
         report.data["separator_states"] = separator.state_count
-        with _Timer(report, "pt_audit"):
+        with _timer(report, "pt_audit"):
             report.data["separator_is_pt"] = ptcheck.is_piecewise_testable(separator)
         if args.out:
             save_automaton(separator, args.out)
@@ -158,18 +154,18 @@ def cmd_analyze(args) -> int:
 def cmd_prefix_analyze(args) -> int:
     report = Report("prefix-analyze")
     left, right = _load_pair(args.left, args.right)
-    with _Timer(report, "pattern"):
+    with _timer(report, "pattern"):
         pattern = prefixes.find_pattern(left, right)
     report.data["pattern_found"] = pattern is not None
+    dfas = [minimal_dfa(x, args.budget) for x in (left, right)]
     if pattern is not None:
         report.data["pattern"] = pattern.to_dict()
         report.data["height"] = "infinite"
     else:
-        with _Timer(report, "height"):
-            height = prefixes.max_prefix_tower_height(left, right, budget=args.budget)
+        with _timer(report, "height"):
+            height = prefixes.max_prefix_tower_height(*dfas, budget=args.budget)
         report.data["height"] = int(height)
-    m = minimal_dfa(left, args.budget).state_count
-    n = minimal_dfa(right, args.budget).state_count
+    m, n = (d.state_count for d in dfas)
     report.data["bounds"] = {
         "minimal_dfa_states": [m, n],
         "dfa_pair_bound": (m * n) // 2,
@@ -183,8 +179,8 @@ def cmd_prefix_analyze(args) -> int:
 def cmd_pt_check(args) -> int:
     report = Report("pt-check")
     automaton = load_automaton(args.automaton)
-    with _Timer(report, "check"):
-        violation = ptcheck.pt_violation(minimal_dfa(automaton, args.budget))
+    with _timer(report, "check"):
+        violation = ptcheck.language_pt_violation(automaton, args.budget)
     report.data["piecewise_testable"] = violation is None
     if violation is not None:
         kind, witness = violation

@@ -12,6 +12,8 @@ from typing import Optional, Sequence
 
 from .automata import (
     Automaton,
+    _automaton,
+    _rows,
     _subset_construction,
     bits,
     fold_reachable,
@@ -31,8 +33,9 @@ def is_prefix(v: Sequence[str], w: Sequence[str]) -> bool:
     return len(v) <= len(w) and tuple(w[: len(v)]) == tuple(v)
 
 
-def _down_tables(a: Automaton):
-    """Per-state masks for the silent-move elimination.
+def _down_tables(rows, m: int, final_mask: int):
+    """Per-state masks for the silent-move elimination of the automaton with
+    successor rows ``rows`` (see :func:`~ptsep.automata._rows`).
 
     Returns (move, final_mask) where move[sym][q] is the target mask of the
     eliminated automaton and final_mask marks states with a silent path into
@@ -41,28 +44,25 @@ def _down_tables(a: Automaton):
     final bits over the silent-move digraph (q -> q' whenever some letter
     moves q to q'), so dense closures are never enumerated state by state.
     """
-    n = a.state_count
-    succ = [set() for _ in range(n)]
-    for src, _, dst in a.transitions:
-        if src != dst:
-            succ[src].add(dst)
-    fmask = a.final_mask
-    *move, final = fold_reachable([list(s) for s in succ],
-                                  [*a.move_masks(), [(fmask >> q) & 1 for q in range(n)]])
+    n = len(rows) // m
+    move = [[0] * n for _ in range(m)]
+    silent = [set() for _ in range(n)]
+    for i, targets in enumerate(rows):
+        q, sym = divmod(i, m)
+        for t in targets:
+            move[sym][q] |= 1 << t
+            silent[q].add(t)
+    silent = [list(succ - {q}) for q, succ in enumerate(silent)]
+    *move, final = fold_reachable(silent, [*move, [(final_mask >> q) & 1 for q in range(n)]])
     return move, mask_of(q for q in range(n) if final[q])
 
 
 def down_closure(a: Automaton) -> Automaton:
     """NFA for all subsequences of L(a); state ids are unchanged."""
-    move, final_mask = _down_tables(a)
-    transitions = set()
-    for sym in range(len(a.alphabet)):
-        row = move[sym]
-        for q in range(a.state_count):
-            for t in bits(row[q]):
-                transitions.add((q, sym, t))
-    finals = set(bits(final_mask))
-    return Automaton(a.state_count, a.alphabet, a.initials, finals, transitions)
+    move, final_mask = _down_tables(_rows(a), len(a.alphabet), a.final_mask)
+    transitions = [(q, sym, t) for sym, row in enumerate(move)
+                   for q, mask in enumerate(row) for t in bits(mask)]
+    return Automaton(a.state_count, a.alphabet, a.initials, bits(final_mask), transitions)
 
 
 def up_closure(a: Automaton) -> Automaton:
@@ -74,30 +74,24 @@ def up_closure(a: Automaton) -> Automaton:
     return Automaton(a.state_count, a.alphabet, a.initials, a.finals, transitions)
 
 
-def down_determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
-    """Complete DFA for down(L(a)), fused subset construction.
+def _down_subsets(rows, m: int, final_mask: int, start_mask: int, budget=None):
+    """The closure machine: the flat DFA of the down-closure of the NFA with
+    successor rows ``rows``, by one fused subset construction that never
+    materializes the dense eliminated relation."""
+    move, final_mask = _down_tables(rows, m, final_mask)
+    return _subset_construction(move, start_mask, final_mask, budget)
 
-    Equivalent to ``determinize(down_closure(a))`` but never materializes the
-    (dense) eliminated transition relation.
-    """
-    move, final_mask = _down_tables(a)
-    return _subset_construction(a.alphabet, move, a.initial_mask, final_mask, budget)
+
+def down_determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
+    """Complete DFA for down(L(a)); equivalent to
+    ``determinize(down_closure(a))``."""
+    return _automaton(a.alphabet, _down_subsets(
+        _rows(a), len(a.alphabet), a.final_mask, a.initial_mask, budget))
 
 
 def word_embeds_into_language(w: Sequence[str], a: Automaton) -> bool:
     """True iff w is a subsequence of some word of L(a)."""
-    move, final_mask = _down_tables(a)
-    current = a.initial_mask
-    for name in w:
-        sym = a.symbol_id(name)
-        row = move[sym]
-        target = 0
-        for q in bits(current):
-            target |= row[q]
-        current = target
-        if not current:
-            return False
-    return bool(current & final_mask)
+    return down_closure(a).accepts(w)
 
 
 def language_embeds(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:

@@ -25,6 +25,7 @@ from .automata import (
     Automaton,
     Word,
     bits,
+    complete,
     determinize,
     fold_reachable,
     intersection,
@@ -97,14 +98,7 @@ def _bfs_word(adj, sources, target, alphabet) -> Optional[tuple]:
                 parents[t] = (v, sym)
                 queue.append(t)
                 if t == target:
-                    word = []
-                    cur = t
-                    while parents[cur] is not None:
-                        prev, sym2 = parents[cur]
-                        word.append(alphabet[sym2])
-                        cur = prev
-                    word.reverse()
-                    return tuple(word)
+                    return _square_word(parents, t, alphabet)
     return None
 
 
@@ -229,15 +223,16 @@ def max_prefix_tower_height(a: Automaton, b: Automaton, budget=None):
     """Exact maximal height of a finite tower of prefixes between disjoint
     languages, or ``math.inf`` when an infinite one exists.
 
-    Both inputs are determinized, so every word drives the product to one
-    state; a tower is then a walk through the alternation classes
+    Both inputs are made complete DFAs, by the subset construction when they
+    are nondeterministic, so every word drives the product to one state; a
+    tower is then a walk through the alternation classes
     X = F_A x (Q_B \\ F_B) and Y = (Q_A \\ F_A) x F_B of the reachable
     product, and the answer is the longest such walk (infinite iff it can
     cycle).  The product has no state in F_A x F_B, so X and Y are told
     apart by one side alone.
     """
-    da = determinize(trim(a), budget)
-    db = determinize(trim(b), budget)
+    da, db = (complete(x) if x.deterministic else determinize(trim(x), budget)
+              for x in (a, b))
     prod = intersection(da, db)
     if prod.finals:
         raise ValueError("languages must be disjoint")

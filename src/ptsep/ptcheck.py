@@ -14,11 +14,11 @@ from typing import Optional
 
 from .automata import (
     Automaton,
+    _complete,
+    _minimal,
     bits,
-    complete,
     fold_reachable,
-    minimal_dfa,
-    minimize,
+    mask_of,
     strongly_connected_components,
 )
 from .errors import NotDeterministic, NotMinimal
@@ -33,45 +33,42 @@ def self_loop_alphabet(d: Automaton, q: int) -> frozenset:
     return frozenset(d.alphabet[sym] for s, sym, t in d.transitions if s == t == q)
 
 
-def _require_minimal(d: Automaton) -> Automaton:
-    if not d.deterministic:
-        raise NotDeterministic("piecewise testability test expects a DFA")
-    d = complete(d)
-    mini = minimize(d)
-    if mini.state_count != d.state_count:
-        raise NotMinimal(
-            f"automaton has {d.state_count} states but its minimal DFA has "
-            f"{mini.state_count}")
-    return d
-
-
 def pt_violation(d: Automaton) -> Optional[tuple]:
     """First violated condition of a minimal complete DFA, or None when the
     language is piecewise testable.
 
     Returns ("cycle", states) for a non-self-loop cycle, or
     ("fork", (p, q, q')) for a common ancestor reaching two distinct states
-    inside the shared self-loop subgraph.
+    inside the shared self-loop subgraph.  Raises NotMinimal when ``d``,
+    completed, is not minimal.
     """
-    d = _require_minimal(d)
-    n = d.state_count
+    if not d.deterministic:
+        raise NotDeterministic("piecewise testability test expects a DFA")
     m = len(d.alphabet)
+    n, delta = _complete(d.state_count, m, d.transitions)
+    minimal = _minimal(d)[0]
+    if minimal != n:
+        raise NotMinimal(f"automaton has {n} states but its minimal DFA has {minimal}")
+    return _violation(m, delta)
 
-    succ = [set() for _ in range(n)]
-    for s, sym, t in d.transitions:
-        if s != t:
-            succ[s].add(t)
-    adj = [sorted(x) for x in succ]
+
+def language_pt_violation(a: Automaton, budget=None) -> Optional[tuple]:
+    """:func:`pt_violation` of the minimal DFA of L(a), which is built once:
+    a DFA input reaches it without the subset construction."""
+    return _violation(len(a.alphabet), _minimal(a, budget)[1])
+
+
+def _violation(m: int, delta) -> Optional[tuple]:
+    """The test itself, on the flat table of a minimal complete DFA."""
+    n = len(delta) // m
+    rows = [delta[q * m:q * m + m] for q in range(n)]
+    adj = [sorted(set(row) - {q}) for q, row in enumerate(rows)]
     for comp in strongly_connected_components(adj):
         if len(comp) > 1:
             return ("cycle", tuple(sorted(comp)))
 
-    loops = [0] * n  # bitmask of self-looping symbols per state
-    by_sym = [[] for _ in range(m)]
-    for s, sym, t in d.transitions:
-        if s == t:
-            loops[s] |= 1 << sym
-        by_sym[sym].append((s, t))
+    # bitmask of self-looping symbols per state
+    loops = [mask_of(sym for sym, t in enumerate(row) if t == q) for q, row in enumerate(rows)]
 
     # ancestor masks per restriction alphabet, computed once per distinct mask
     ancestors_cache = {}
@@ -83,8 +80,8 @@ def pt_violation(d: Automaton) -> Optional[tuple]:
             # gamma-restricted graph
             radj = [[] for _ in range(n)]
             for sym in bits(gamma):
-                for s, t in by_sym[sym]:
-                    radj[t].append(s)
+                for s in range(n):
+                    radj[delta[s * m + sym]].append(s)
             (anc,) = fold_reachable(radj, [[1 << q for q in range(n)]])
             ancestors_cache[gamma] = anc
         return anc
@@ -108,6 +105,5 @@ def is_pt_minimal_dfa(d: Automaton) -> bool:
 
 
 def is_piecewise_testable(a: Automaton, budget=None) -> bool:
-    """Piecewise testability of L(a) for an arbitrary NFA: test its minimal
-    DFA, which a DFA input reaches without the subset construction."""
-    return pt_violation(minimal_dfa(a, budget)) is None
+    """Piecewise testability of L(a) for an arbitrary NFA."""
+    return language_pt_violation(a, budget) is None

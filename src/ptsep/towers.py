@@ -14,19 +14,25 @@ same down-closures that define the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .automata import (
     Automaton,
     Word,
-    complement,
-    intersection,
-    minimal_dfa,
-    minimize,
+    _automaton,
+    _complement,
+    _complete,
+    _minimal,
+    _minimize,
+    _product,
+    _sink,
+    _trim_rows,
+    mask_of,
     trim,
 )
-from .closures import down_determinize, is_prefix, is_subsequence
-from .errors import AlphabetMismatch
+from .closures import _down_subsets, is_prefix, is_subsequence
+from .errors import AlphabetMismatch, SchemaError
 
 SUBSEQUENCE = "subsequence"
 PREFIX = "prefix"
@@ -57,9 +63,6 @@ class Tower:
     def height(self) -> int:
         return len(self.elements)
 
-    def words(self):
-        return [word for word, _ in self.elements]
-
     def to_dict(self) -> dict:
         return {
             "relation": self.relation,
@@ -70,8 +73,6 @@ class Tower:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tower":
-        from .errors import SchemaError
-
         if not isinstance(data, dict) or "relation" not in data or "elements" not in data:
             raise SchemaError("tower document needs 'relation' and 'elements'")
         if not isinstance(data["elements"], list):
@@ -130,23 +131,39 @@ def upper_bound_height(n: int, m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # the refinement chain
+#
+# Chain languages are canonical minimal flat DFAs (see ptsep.automata), so
+# two of them are language-equal iff they are equal as tuples, and a
+# language is empty iff it has no final state.
 
 
-def _dfa_key(d: Automaton):
-    return (d.state_count, tuple(sorted(d.initials)), tuple(sorted(d.finals)),
-            tuple(sorted(d.transitions)))
+def _public(alphabet, dfa) -> Automaton:
+    """The trimmed minimal automaton of a chain language."""
+    return trim(_automaton(alphabet, dfa))
 
 
-def _canonical_language(a: Automaton, budget=None) -> Automaton:
-    """Trimmed canonical minimal DFA: unique per language, cheap to compare,
-    and empty iff it has no states."""
-    return trim(minimal_dfa(a, budget))
+def _down(m: int, dfa, budget=None):
+    """Minimal flat DFA of down(L) from the minimal flat DFA of L, trimmed
+    first, so its sink never enters a subset."""
+    rows, start = _trim_rows(m, dfa)
+    return _minimize(m, _down_subsets(rows, m, mask_of(dfa[2]), start, budget))
 
 
-def _intersect_down(base: Automaton, other: Automaton, budget=None) -> Automaton:
-    """Canonical automaton for L(base) n down(L(other))."""
-    ddown = minimize(down_determinize(other, budget))
-    return _canonical_language(intersection(base, ddown), budget)
+def _meet(m: int, a, b):
+    """Minimal flat DFA of L(a) n L(b) for a minimal flat DFA a and a
+    complete one b; the product follows a's trimmed moves."""
+    rows_a = _trim_rows(m, a)[0]
+    keys, moves, finals = _product(rows_a, [(t,) for t in b[1]], b[0], m, (0,), a[2], b[2])
+    return _minimize(m, (*_complete(len(keys), m, moves), finals))
+
+
+def _refine(m: int, r_prev, l0, r0, budget=None):
+    """One chain step on flat DFAs: (L_k, R_k) and the two down DFAs it
+    built, down(R_{k-1}) and down(L_k)."""
+    down_r = _down(m, r_prev, budget)
+    lk = _meet(m, l0, down_r)
+    down_l = _down(m, lk, budget)
+    return lk, _meet(m, r0, down_l), (down_r, down_l)
 
 
 def refine_step(r_prev: Automaton, l0: Automaton, r0: Automaton, budget=None):
@@ -155,35 +172,44 @@ def refine_step(r_prev: Automaton, l0: Automaton, r0: Automaton, budget=None):
     for x in (r_prev, r0):
         if x.alphabet != l0.alphabet:
             raise AlphabetMismatch("refine_step needs one shared alphabet")
-    lk = _intersect_down(l0, r_prev, budget)
-    rk = _intersect_down(r0, lk, budget)
-    return lk, rk
+    lk, rk, _ = _refine(len(l0.alphabet), *(_minimal(x, budget) for x in (r_prev, l0, r0)),
+                        budget)
+    return _public(l0.alphabet, lk), _public(l0.alphabet, rk)
 
 
-@dataclass
 class RefinementChain:
     """The decreasing sequence (L_k, R_k) with its verdict.
 
-    ``originals`` holds canonical automata for the input languages; ``steps``
-    holds the canonical (trimmed minimal) automata of every computed step.
+    Every language is held as its canonical minimal flat DFA.  ``originals``
+    and ``steps`` give them as trimmed minimal automata, built when read.
+    ``downs[k-1]`` holds the minimal DFAs of down(R_{k-1}) and down(L_k)
+    when the chain was run for a separator, and is empty otherwise.
     """
 
-    originals: tuple
-    steps: list
-    verdict: str  # "separable" | "infinite_tower" | "undecided"
-    b_index: Optional[int] = None
+    def __init__(self, alphabet, originals):
+        self.alphabet = alphabet
+        self.flat_originals = originals
+        self.flat_steps = []
+        self.downs = []
+        self.verdict = "undecided"  # | "separable" | "infinite_tower"
+        self.b_index: Optional[int] = None
 
-    @property
-    def state_counts(self):
-        return [(lk.state_count, rk.state_count) for lk, rk in self.steps]
+    @cached_property
+    def originals(self):
+        return tuple(_public(self.alphabet, d) for d in self.flat_originals)
+
+    @cached_property
+    def steps(self):
+        return [tuple(_public(self.alphabet, d) for d in step) for step in self.flat_steps]
 
     def to_dict(self) -> dict:
+        """Verdict and the trimmed state counts of every step."""
+        m = len(self.alphabet)
+        counts = [[d[0] - (_sink(m, d) is not None) for d in step] for step in self.flat_steps]
         return {
             "verdict": self.verdict,
             "b_index": self.b_index,
-            "steps": [
-                {"left_states": l, "right_states": r} for l, r in self.state_counts
-            ],
+            "steps": [{"left_states": l, "right_states": r} for l, r in counts],
         }
 
 
@@ -194,44 +220,10 @@ class SeparationResult:
     separator: Optional[Automaton] = None
     witness: Optional[Tower] = None
 
-    @property
-    def separable(self) -> bool:
-        return self.status == "separable"
-
-    def to_dict(self) -> dict:
-        from .automata import automaton_to_dict
-
-        out = {"status": self.status, "chain": self.chain.to_dict()}
-        if self.separator is not None:
-            out["separator"] = automaton_to_dict(self.separator)
-        if self.witness is not None:
-            out["witness"] = self.witness.to_dict()
-        return out
-
 
 def shortest_word(a: Automaton) -> Optional[Word]:
     """Shortlex-least accepted word, or None for the empty language."""
-    from collections import deque
-
-    fmask = a.final_mask
-    start = a.initial_mask
-    if start & fmask:
-        return ()
-    seen = {start}
-    queue = deque([(start, ())])
-    m = len(a.alphabet)
-    while queue:
-        states, word = queue.popleft()
-        for sym in range(m):
-            nxt = a.step(states, sym)
-            if not nxt or nxt in seen:
-                continue
-            w2 = word + (a.alphabet[sym],)
-            if nxt & fmask:
-                return w2
-            seen.add(nxt)
-            queue.append((nxt, w2))
-    return None
+    return shortest_superword_in((), a)
 
 
 def shortest_superword_in(w: Sequence[str], a: Automaton) -> Optional[Word]:
@@ -300,32 +292,27 @@ def decide_separability(
     (infinite tower), or the step budget runs out (undecided)."""
     if left.alphabet != right.alphabet:
         raise AlphabetMismatch("decide_separability needs one shared alphabet")
-    l0 = _canonical_language(left, budget)
-    r0 = _canonical_language(right, budget)
-    chain = RefinementChain(originals=(l0, r0), steps=[], verdict="undecided")
-
-    cur_l, cur_r = l0, r0
-    prev_keys = (_dfa_key(l0), _dfa_key(r0))
+    m = len(left.alphabet)
+    chain = RefinementChain(left.alphabet, (_minimal(left, budget), _minimal(right, budget)))
+    previous = chain.flat_originals
     for k in range(1, max_steps + 1):
-        lk, rk = refine_step(cur_r, l0, r0, budget)
-        chain.steps.append((lk, rk))
-        if not lk.finals and not rk.finals:
-            chain.verdict = "separable"
+        lk, rk, downs = _refine(m, previous[1], *chain.flat_originals, budget)
+        chain.flat_steps.append((lk, rk))
+        if with_separator:
+            chain.downs.append(downs)
+        # L_k empty makes R_k = R0 n down(L_k) empty: separable
+        if not lk[2] or (lk, rk) == previous:
+            chain.verdict = "infinite_tower" if lk[2] else "separable"
             chain.b_index = k
             break
-        keys = (_dfa_key(lk), _dfa_key(rk))
-        if keys == prev_keys:
-            chain.verdict = "infinite_tower"
-            chain.b_index = k
-            break
-        prev_keys = keys
-        cur_l, cur_r = lk, rk
+        previous = (lk, rk)
 
     result = SeparationResult(status=chain.verdict, chain=chain)
     if chain.verdict == "separable" and with_separator:
         result.separator = build_separator(chain, budget)
     elif chain.verdict == "infinite_tower" and witness_height > 0:
-        result.witness = materialize_witness(cur_l, cur_r, witness_height)
+        l_fix, r_fix = (_public(left.alphabet, d) for d in previous)
+        result.witness = materialize_witness(l_fix, r_fix, witness_height)
     return result
 
 
@@ -335,21 +322,25 @@ def build_separator(chain: RefinementChain, budget=None) -> Automaton:
     With R_0 = R0 from ``chain.originals``, (L_k, R_k) = ``chain.steps[k-1]``
     and L_b empty (b = ``chain.b_index``), the separator is the union over
     j < b of down(R_j) minus down(L_{j+1}), returned as a canonical minimal
-    complete DFA.  Only DFA products and complements are used: the loop
-    accumulates the separator's complement, the intersection of the pieces'
-    complements, and complements it once at the end."""
+    complete DFA.  The down DFAs are the ones the chain built, or are built
+    again when the chain was run without a separator.  Only DFA products and
+    complements are used: the loop accumulates the separator's complement,
+    the intersection of the pieces' complements, and complements it once at
+    the end."""
     if chain.verdict != "separable":
         raise ValueError("separator is only defined for a separable chain")
     # Soundness.  Contains R0: for w in R0 take the largest j with w in R_j;
     # w is not in R_{j+1} = R0 n down(L_{j+1}), so w lies in piece j.
     # Misses L0: w in L0 n down(R_j) is in L_{j+1}, so in down(L_{j+1}).
     # PT: down-closed languages are PT and PT is closed under Boolean ops.
-    l0, r_j = chain.originals
-    outside = complement(Automaton(0, l0.alphabet, (), (), ()))  # Sigma*
-    for l_next, r_next in chain.steps[: chain.b_index]:
-        down_r = minimize(down_determinize(r_j, budget))
-        down_l = minimize(down_determinize(l_next, budget))
-        r_j = r_next
-        piece = intersection(down_r, complement(down_l))
-        outside = minimize(intersection(outside, complement(minimize(piece))))
-    return minimize(complement(outside))
+    m = len(chain.alphabet)
+    downs = chain.downs
+    if not downs:
+        rights = [chain.flat_originals[1]] + [r for _, r in chain.flat_steps]
+        downs = [(_down(m, r_j, budget), _down(m, l_next, budget))
+                 for r_j, (l_next, _) in zip(rights, chain.flat_steps)]
+    outside = (1, [0] * m, {0})  # Sigma*
+    for down_r, down_l in downs[: chain.b_index]:
+        piece = _meet(m, down_r, _complement(down_l))
+        outside = _meet(m, outside, _complement(piece))
+    return _automaton(chain.alphabet, _minimize(m, _complement(outside)))

@@ -87,13 +87,16 @@ def accepted_set(a, max_len):
     return {w for w in all_words(a.alphabet, max_len) if a.accepts(w)}
 
 
-def moore_minimize_size(d) -> int:
-    """Independent minimal-DFA state count: completes the DFA, restricts to
-    reachable states, then refines classes by (finality, class signature)
-    until stable.  Used as an oracle for minimize()."""
+def moore_minimize(d) -> dict:
+    """Independent minimal DFA, as an ``automaton_to_dict`` document: completes
+    the DFA, restricts to reachable states, refines classes by (finality,
+    class signature) until stable, then numbers the classes in BFS order from
+    the initial class, letters in alphabet order.  Used as an oracle for
+    minimize()."""
     from ptsep import complete
 
     d = complete(d)
+    m = len(d.alphabet)
     delta = {}
     for s, sym, t in d.transitions:
         delta[(s, sym)] = t
@@ -102,7 +105,7 @@ def moore_minimize_size(d) -> int:
     stack = [start]
     while stack:
         q = stack.pop()
-        for sym in range(len(d.alphabet)):
+        for sym in range(m):
             t = delta[(q, sym)]
             if t not in reach:
                 reach.add(t)
@@ -111,7 +114,7 @@ def moore_minimize_size(d) -> int:
     cls = {q: (q in d.finals) for q in states}
     while True:
         sig = {
-            q: (cls[q],) + tuple(cls[delta[(q, sym)]] for sym in range(len(d.alphabet)))
+            q: (cls[q],) + tuple(cls[delta[(q, sym)]] for sym in range(m))
             for q in states
         }
         renum = {}
@@ -119,8 +122,31 @@ def moore_minimize_size(d) -> int:
         for q in states:
             new_cls[q] = renum.setdefault(sig[q], len(renum))
         if len(set(new_cls.values())) == len(set(cls.values())):
-            return len(set(new_cls.values()))
+            break
         cls = new_cls
+    member = {c: q for q, c in new_cls.items()}
+    order = [new_cls[start]]
+    number = {order[0]: 0}
+    transitions = []
+    for i, c in enumerate(order):
+        for sym in range(m):
+            target = new_cls[delta[(member[c], sym)]]
+            if target not in number:
+                number[target] = len(order)
+                order.append(target)
+            transitions.append([i, d.alphabet[sym], number[target]])
+    return {
+        "alphabet": list(d.alphabet),
+        "states": len(order),
+        "initials": [0],
+        "finals": [i for i, c in enumerate(order) if member[c] in d.finals],
+        "deterministic": True,
+        "transitions": sorted(transitions),
+    }
+
+
+def moore_minimize_size(d) -> int:
+    return moore_minimize(d)["states"]
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from conftest import (
     empty_language,
     ends_with,
     literal,
+    moore_minimize,
     moore_minimize_size,
     random_complete_dfa,
     random_nfa,
@@ -139,14 +140,32 @@ def test_determinize_small_words_exhaustive():
             assert d.accepts(w) == a.accepts(w)
 
 
+def sink_heavy_dfa(rng, letters, max_states=8):
+    """A random complete DFA over ``letters`` letters whose moves go to a
+    nonfinal sink, the last state, four times in five."""
+    n = rng.randint(1, max_states)
+    alphabet = tuple(f"x{i}" for i in range(letters))
+    triples = {(q, sym, n - 1 if q == n - 1 or rng.random() < 0.8 else rng.randrange(n))
+               for q in range(n) for sym in alphabet}
+    finals = {q for q in range(n - 1) if rng.random() < 0.4}
+    return Automaton(n, alphabet, {rng.randrange(n)}, finals, triples, True)
+
+
 def test_minimize_against_moore_oracle():
     rng = random.Random(17)
     for _ in range(200):
         d = random_complete_dfa(rng, max_states=5)
         mini = minimize(d)
         assert mini.state_count == moore_minimize_size(d)
+        assert automaton_to_dict(mini) == moore_minimize(d)
         for w in all_words(("a", "b"), 5):
             assert mini.accepts(w) == d.accepts(w)
+    # wide alphabets, most letters into the sink: a block is queued as a
+    # splitter only under the letters that lead into it
+    for letters in (3, 8, 17, 30):
+        for _ in range(60):
+            d = sink_heavy_dfa(rng, letters)
+            assert automaton_to_dict(minimize(d)) == moore_minimize(d)
 
 
 def test_minimize_requires_deterministic():
@@ -276,8 +295,14 @@ def test_json_roundtrip():
     ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
       "transitions": [[0, "a", 0], [0, "a", 1]], "deterministic": "false"},
      "deterministic:"),
+    ({"alphabet": ["a"], "states": True, "initials": [], "finals": [],
+      "transitions": []}, "states:"),
+    ({"alphabet": ["a"], "states": 2, "initials": [False], "finals": [True],
+      "transitions": []}, "initials[0]"),
+    ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
+      "transitions": [[True, "a", 0]]}, "transitions[0]"),
 ], ids=["dup-symbol", "bad-initial", "bad-target", "bad-symbol", "missing",
-        "bad-deterministic"])
+        "bad-deterministic", "bool-states", "bool-initial", "bool-source"])
 def test_json_schema_errors(doc, fragment):
     with pytest.raises(SchemaError) as err:
         automaton_from_dict(doc)

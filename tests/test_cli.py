@@ -94,6 +94,25 @@ def test_prefix_analyze(tmp_path, capsys):
     assert report["bounds"]["dfa_pair_bound"] == 8
 
 
+def test_prefix_analyze_determinizes_each_input_once(tmp_path, capsys, monkeypatch):
+    # the height and the bounds share one subset construction per NFA input
+    from ptsep import automata, gen_2exp
+
+    inst = gen_2exp(3)
+    assert not inst.left.deterministic and not inst.right.deterministic
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    save_automaton(inst.left, pa)
+    save_automaton(inst.right, pb)
+    calls = []
+    real = automata._subset_construction
+    monkeypatch.setattr(automata, "_subset_construction",
+                        lambda *args: calls.append(args) or real(*args))
+    assert main(["prefix-analyze", str(pa), str(pb), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["height"] == 58
+    assert len(calls) == 2
+
+
 def test_prefix_analyze_infinite(tmp_path, capsys):
     from ptsep import gen_reachability
 

@@ -183,3 +183,17 @@ def test_nfa_and_minimal_dfa_agree():
         a = factory()
         mini = minimize(determinize(a))
         assert is_pt_minimal_dfa(mini) == is_piecewise_testable(a) == expected
+
+
+def test_audit_minimizes_once(monkeypatch):
+    # the PT conditions are read off the one minimal DFA of the input; only
+    # pt_violation, which takes outside input, minimizes again as a guard
+    from ptsep import automata
+
+    calls = []
+    real = automata._minimize
+    monkeypatch.setattr(automata, "_minimize", lambda *args: calls.append(args) or real(*args))
+    for name, factory, expected in PT_FIXTURES:
+        calls.clear()
+        assert is_piecewise_testable(factory()) == expected
+        assert len(calls) == 1, name

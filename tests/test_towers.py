@@ -27,8 +27,10 @@ from ptsep import (
     is_empty,
     is_piecewise_testable,
     language_embeds,
+    minimal_dfa,
     minimize,
     refine_step,
+    trim,
     union,
     upper_bound_height,
     verify_tower,
@@ -153,6 +155,28 @@ def test_chain_monotone_decreasing():
         prev_l, prev_r = lk, rk
 
 
+@pytest.mark.parametrize("pair", [
+    lambda: (gen_quadratic(6).left, gen_quadratic(6).right),
+    lambda: (gen_exp(3).left, gen_exp(3).right),
+    chain_pair,
+])
+def test_chain_steps_are_the_refine_step_fold(pair):
+    left, right = pair()
+    chain = decide_separability(left, right).chain
+    assert [automaton_to_dict(x) for x in chain.originals] == [
+        automaton_to_dict(trim(minimal_dfa(x))) for x in (left, right)]
+    cur_r = right
+    for lk, rk in chain.steps:
+        assert isinstance(lk, Automaton) and isinstance(rk, Automaton)
+        want_l, cur_r = refine_step(cur_r, left, right)
+        assert automaton_to_dict(lk) == automaton_to_dict(want_l)
+        assert automaton_to_dict(rk) == automaton_to_dict(cur_r)
+    assert len(chain.steps) == chain.b_index
+    assert chain.to_dict()["steps"] == [
+        {"left_states": lk.state_count, "right_states": rk.state_count}
+        for lk, rk in chain.steps]
+
+
 def test_fixpoint_is_mutually_embeddable():
     a, b = chain_pair()
     result = decide_separability(a, b)
@@ -207,6 +231,12 @@ def test_separator_matches_reference_on_families(family, param, states):
     assert result.separator.state_count == states
     reference = reference_separator(result.chain)
     assert automaton_to_dict(result.separator) == automaton_to_dict(reference)
+    # the chain keeps its down DFAs only when a separator is asked for, and
+    # build_separator builds them again for a chain that lacks them
+    assert len(result.chain.downs) == result.chain.b_index
+    plain = decide_separability(inst.left, inst.right).chain
+    assert plain.downs == []
+    assert automaton_to_dict(build_separator(plain)) == automaton_to_dict(result.separator)
 
 
 def test_separator_matches_reference_on_random_pairs():
