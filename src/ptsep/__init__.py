@@ -4,33 +4,21 @@ automata families."""
 
 from .automata import (
     Automaton,
-    accepts,
     automaton_from_dict,
     automaton_to_dict,
     complement,
     complete,
     determinize,
-    difference,
-    equivalent,
     includes,
     intersection,
     is_empty,
     load_automaton,
     minimal_dfa,
-    minimize,
     normalize_alphabets,
     save_automaton,
     trim,
-    union,
 )
-from .closures import (
-    down_closure,
-    down_determinize,
-    is_subsequence,
-    language_embeds,
-    up_closure,
-    word_embeds_into_language,
-)
+from .closures import down_determinize, is_subsequence
 from .errors import (
     AlphabetMismatch,
     BudgetExceeded,
@@ -60,7 +48,7 @@ from .families import (
 )
 from .oracles import TowerSearch, brute_max_tower_height, enumerate_language, reachability
 from .prefixes import Pattern, find_pattern, materialize_prefix_tower, max_prefix_tower_height
-from .ptcheck import is_piecewise_testable, is_pt_minimal_dfa, pt_violation, self_loop_alphabet
+from .ptcheck import is_piecewise_testable, pt_violation
 from .towers import (
     RefinementChain,
     SeparationResult,

@@ -8,7 +8,7 @@ symbol names, so they can travel between automata that share an alphabet.
 
 Partial transition functions are allowed in stored automata; completion with
 an explicit sink happens inside :func:`determinize`, :func:`complement` and
-:func:`minimize`.
+:func:`minimal_dfa`.
 
 The constructions run on one flat form, a complete DFA ``(n, delta, finals)``
 over m letters with initial state 0: ``delta[q*m + sym]`` is the target of q
@@ -20,7 +20,6 @@ by the public functions and by :func:`automaton_from_dict`.
 from __future__ import annotations
 
 import json
-import os
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import count
@@ -37,17 +36,6 @@ from .errors import (
 Word = tuple  # tuple of symbol names
 
 DEFAULT_BUDGET = 1 << 20
-BUDGET_ENV = "PTSEP_BUDGET"
-
-
-def resolve_budget(budget: Optional[int] = None) -> int:
-    """Explicit argument wins, then PTSEP_BUDGET, then the built-in default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
 
 
 def bits(mask: int):
@@ -75,7 +63,6 @@ class Automaton:
         "finals",
         "transitions",
         "deterministic",
-        "state_labels",
         "_sym_index",
         "_masks",
     )
@@ -88,7 +75,6 @@ class Automaton:
         finals: Iterable[int],
         transitions: Iterable[tuple],
         deterministic: bool = False,
-        state_labels: Optional[tuple] = None,
     ):
         alphabet = tuple(alphabet)
         if not alphabet:
@@ -125,8 +111,6 @@ class Automaton:
                 prev = seen_pairs.setdefault((src, sym), dst)
                 if prev != dst:
                     raise ValueError(f"state {src} is nondeterministic on symbol {sym}")
-        if state_labels is not None and len(state_labels) != n:
-            raise ValueError("state_labels length must equal state_count")
 
         self.state_count = n
         self.alphabet = alphabet
@@ -134,7 +118,6 @@ class Automaton:
         self.finals = finals
         self.transitions = frozenset(norm)
         self.deterministic = bool(deterministic)
-        self.state_labels = state_labels
         self._sym_index = sym_index
         self._masks = None
 
@@ -181,25 +164,12 @@ class Automaton:
             current = self.step(current, sym)
         return bool(current & self.final_mask)
 
-    def adjacency(self):
-        """adjacency[state] -> sorted list of (symbol, target)."""
-        adj = [[] for _ in range(self.state_count)]
-        for src, sym, dst in self.transitions:
-            adj[src].append((sym, dst))
-        for lst in adj:
-            lst.sort()
-        return adj
-
     def __repr__(self):
         return (
             f"Automaton(states={self.state_count}, alphabet={list(self.alphabet)}, "
             f"initials={sorted(self.initials)}, finals={sorted(self.finals)}, "
             f"transitions={len(self.transitions)}, dfa={self.deterministic})"
         )
-
-
-def accepts(a: Automaton, word: Sequence[str]) -> bool:
-    return a.accepts(word)
 
 
 def _require_same_alphabet(a: Automaton, b: Automaton):
@@ -385,27 +355,15 @@ def intersection(a: Automaton, b: Automaton) -> Automaton:
     """Reachable part of the synchronized product, accepting where both sides
     accept.  Its states are the pairs (p, q) that one common word reaches
     from a pair of initial states; they are numbered in sorted pair order
-    (the order of p*|Q_b|+q) and labelled with their pairs.  So every state
-    is reachable, and a final state is a common word of L(a) and L(b)."""
+    (the order of p*|Q_b|+q).  So every state is reachable, and a final
+    state is a common word of L(a) and L(b)."""
     _require_same_alphabet(a, b)
     nb = b.state_count
     starts = {p * nb + q for p in a.initials for q in b.initials}
     keys, moves, finals = _product(_rows(a), _rows(b), nb, len(a.alphabet), starts,
                                    a.finals, b.finals)
     return Automaton(len(keys), a.alphabet, {bisect_left(keys, key) for key in starts},
-                     finals, moves, a.deterministic and b.deterministic,
-                     tuple(divmod(key, nb) for key in keys))
-
-
-def union(a: Automaton, b: Automaton) -> Automaton:
-    _require_same_alphabet(a, b)
-    off = a.state_count
-    transitions = set(a.transitions)
-    for src, sym, dst in b.transitions:
-        transitions.add((src + off, sym, dst + off))
-    initials = set(a.initials) | {q + off for q in b.initials}
-    finals = set(a.finals) | {q + off for q in b.finals}
-    return Automaton(off + b.state_count, a.alphabet, initials, finals, transitions)
+                     finals, moves, a.deterministic and b.deterministic)
 
 
 def _complete(n: int, m: int, transitions):
@@ -443,8 +401,7 @@ def complement(d: Automaton) -> Automaton:
     """Complement of a deterministic automaton (completed first)."""
     d = complete(d)
     finals = set(range(d.state_count)) - set(d.finals)
-    return Automaton(d.state_count, d.alphabet, d.initials, finals,
-                     d.transitions, True, d.state_labels)
+    return Automaton(d.state_count, d.alphabet, d.initials, finals, d.transitions, True)
 
 
 def _complement(dfa):
@@ -457,8 +414,9 @@ def _subset_construction(move, start_mask: int, final_mask: int,
     state q under sym; a subset is final when it meets ``final_mask``.  The
     result is the flat DFA over the explored subsets, numbered in BFS order
     (the empty subset, when reached, is the sink); more than ``budget``
-    subsets raise BudgetExceeded."""
-    budget = resolve_budget(budget)
+    subsets (:data:`DEFAULT_BUDGET` when None) raise BudgetExceeded."""
+    if budget is None:
+        budget = DEFAULT_BUDGET
     index = {start_mask: 0}
     subsets = [start_mask]
     delta = []
@@ -563,13 +521,6 @@ def _minimize(m: int, dfa, start: int = 0):
     return len(order), out, {i for i, block in enumerate(order) if block in final_blocks}
 
 
-def minimize(d: Automaton) -> Automaton:
-    """Minimal complete DFA, canonically numbered (see :func:`_minimize`)."""
-    if not d.deterministic and d.state_count > 0:
-        raise NotDeterministic("minimize() expects a deterministic automaton")
-    return _automaton(d.alphabet, _minimal(d))
-
-
 def _minimal(a: Automaton, budget: Optional[int] = None):
     """The canonical minimal flat DFA of L(a): trim, then the subset
     construction only when the input is nondeterministic, then minimize."""
@@ -583,7 +534,8 @@ def _minimal(a: Automaton, budget: Optional[int] = None):
 
 
 def minimal_dfa(a: Automaton, budget: Optional[int] = None) -> Automaton:
-    """The canonical minimal complete DFA of L(a)."""
+    """The canonical minimal complete DFA of L(a), numbered as in
+    :func:`_minimize`."""
     return _automaton(a.alphabet, _minimal(a, budget))
 
 
@@ -594,17 +546,6 @@ def includes(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:
     _require_same_alphabet(a, b)
     dfa = a if a.deterministic else determinize(a, budget)
     return not intersection(b, complement(dfa)).finals
-
-
-def equivalent(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:
-    _require_same_alphabet(a, b)
-    return includes(a, b, budget) and includes(b, a, budget)
-
-
-def difference(a: Automaton, b: Automaton, budget: Optional[int] = None) -> Automaton:
-    """L(a) minus L(b), as intersection with the complemented determinization."""
-    _require_same_alphabet(a, b)
-    return intersection(a, complement(determinize(b, budget)))
 
 
 def normalize_alphabets(a: Automaton, b: Automaton):
@@ -619,7 +560,7 @@ def normalize_alphabets(a: Automaton, b: Automaton):
             (s, x.alphabet[sym], t) for s, sym, t in x.transitions
         }
         return Automaton(x.state_count, merged, x.initials, x.finals,
-                         transitions, x.deterministic, x.state_labels)
+                         transitions, x.deterministic)
 
     return reindex(a), reindex(b)
 
@@ -628,6 +569,13 @@ def normalize_alphabets(a: Automaton, b: Automaton):
 # JSON interchange
 
 _SCHEMA_KEYS = ("alphabet", "states", "initials", "finals", "transitions")
+
+
+def whole(value, bound=None) -> bool:
+    """A JSON non-negative integer below ``bound``; JSON true and false are
+    ints in Python and are refused."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and 0 <= value and (bound is None or value < bound))
 
 
 def automaton_to_dict(a: Automaton) -> dict:
@@ -659,10 +607,6 @@ def automaton_from_dict(data: dict) -> Automaton:
         if name in seen:
             raise SchemaError(f"alphabet[{i}]: duplicate symbol {name!r}")
         seen.add(name)
-
-    def whole(value, bound=None):  # JSON true and false are ints in Python
-        return (isinstance(value, int) and not isinstance(value, bool)
-                and 0 <= value and (bound is None or value < bound))
 
     states = data["states"]
     if not whole(states):

@@ -26,6 +26,7 @@ from .automata import (
     minimal_dfa,
     normalize_alphabets,
     save_automaton,
+    whole,
 )
 from .errors import PtsepError, SchemaError
 from .towers import Tower, upper_bound_height
@@ -93,20 +94,17 @@ def _load_graph(path):
         if key not in data:
             raise SchemaError(f"graph document needs field {key!r}")
     n = data["vertices"]
-    if not isinstance(n, int) or n < 0:
+    if not whole(n):
         raise SchemaError("vertices: must be a non-negative integer")
-
-    def vertex(v):
-        return isinstance(v, int) and 0 <= v < n
-
     for key in ("s", "t"):
-        if not vertex(data[key]):
-            raise SchemaError(f"{key}: vertex {data[key]!r} out of range (vertices={n})")
+        if not whole(data[key], n):
+            raise SchemaError(f"{key}: {data[key]!r} is not a vertex id (vertices={n})")
     edges = data["edges"]
     if not isinstance(edges, list):
         raise SchemaError("edges: must be a list of [source, target]")
     for i, edge in enumerate(edges):
-        if not (isinstance(edge, list) and len(edge) == 2 and all(map(vertex, edge))):
+        if not (isinstance(edge, list) and len(edge) == 2
+                and all(whole(v, n) for v in edge)):
             raise SchemaError(
                 f"edges[{i}]: expected [source, target] with vertices below {n}, got {edge!r}")
     return n, [tuple(e) for e in edges], data["s"], data["t"]
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--budget", type=int, default=None,
-                       help="state/enumeration budget (default: PTSEP_BUDGET or 2^20)")
+                       help="states per subset construction (default: 2^20)")
 
     p = sub.add_parser("analyze", help="decide separability and build a separator")
     p.add_argument("left")

@@ -1,10 +1,10 @@
-"""Subsequence embedding and downward/upward closure constructions.
+"""Subsequence embedding and the downward closure.
 
-``down(L)`` holds every subsequence of every word of L and is built by adding
-a silent move alongside every transition, then eliminating silent moves with
-one :func:`~ptsep.automata.fold_reachable` pass, so the result is a plain NFA
-over the same state set.  ``up(L)`` holds every supersequence and is built
-by adding self-loops under all letters.
+``down(L)`` holds every subsequence of every word of L.  The closure machine
+adds a silent move alongside every transition, eliminates the silent moves
+with one :func:`~ptsep.automata.fold_reachable` pass, and determinizes the
+result in the same subset construction, so the dense eliminated relation is
+never materialized.
 """
 from __future__ import annotations
 
@@ -15,12 +15,9 @@ from .automata import (
     _automaton,
     _rows,
     _subset_construction,
-    bits,
     fold_reachable,
-    includes,
     mask_of,
 )
-from .errors import AlphabetMismatch
 
 
 def is_subsequence(v: Sequence[str], w: Sequence[str]) -> bool:
@@ -57,23 +54,6 @@ def _down_tables(rows, m: int, final_mask: int):
     return move, mask_of(q for q in range(n) if final[q])
 
 
-def down_closure(a: Automaton) -> Automaton:
-    """NFA for all subsequences of L(a); state ids are unchanged."""
-    move, final_mask = _down_tables(_rows(a), len(a.alphabet), a.final_mask)
-    transitions = [(q, sym, t) for sym, row in enumerate(move)
-                   for q, mask in enumerate(row) for t in bits(mask)]
-    return Automaton(a.state_count, a.alphabet, a.initials, bits(final_mask), transitions)
-
-
-def up_closure(a: Automaton) -> Automaton:
-    """NFA for all supersequences of L(a): self-loops under every letter."""
-    transitions = set(a.transitions)
-    for q in range(a.state_count):
-        for sym in range(len(a.alphabet)):
-            transitions.add((q, sym, q))
-    return Automaton(a.state_count, a.alphabet, a.initials, a.finals, transitions)
-
-
 def _down_subsets(rows, m: int, final_mask: int, start_mask: int, budget=None):
     """The closure machine: the flat DFA of the down-closure of the NFA with
     successor rows ``rows``, by one fused subset construction that never
@@ -83,19 +63,7 @@ def _down_subsets(rows, m: int, final_mask: int, start_mask: int, budget=None):
 
 
 def down_determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
-    """Complete DFA for down(L(a)); equivalent to
-    ``determinize(down_closure(a))``."""
+    """Complete DFA for down(L(a)) from the closure machine: one subset per
+    reachable set of states of the silent-move-eliminated automaton."""
     return _automaton(a.alphabet, _down_subsets(
         _rows(a), len(a.alphabet), a.final_mask, a.initial_mask, budget))
-
-
-def word_embeds_into_language(w: Sequence[str], a: Automaton) -> bool:
-    """True iff w is a subsequence of some word of L(a)."""
-    return down_closure(a).accepts(w)
-
-
-def language_embeds(a: Automaton, b: Automaton, budget: Optional[int] = None) -> bool:
-    """True iff every word of L(a) embeds into some word of L(b)."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"alphabets differ: {a.alphabet} vs {b.alphabet}")
-    return includes(down_determinize(b, budget), a, budget)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .automata import Automaton, is_empty
+from .automata import Automaton, is_empty, whole
 from .errors import SchemaError
 from .towers import LEFT, PREFIX, RIGHT, SUBSEQUENCE, Tower
 
@@ -37,9 +37,10 @@ class Circuit:
                 continue
             if gate.kind not in ("AND", "OR"):
                 raise ValueError(f"gate {i}: unknown kind {gate.kind!r}")
-            for ref in (gate.left, gate.right):
-                if not isinstance(ref, int) or not (1 <= ref < i):
-                    raise ValueError(f"gate {i}: wire {ref!r} must point to an earlier gate")
+            for side, ref in (("left", gate.left), ("right", gate.right)):
+                if not whole(ref, i) or ref < 1:
+                    raise ValueError(
+                        f"gate {i}: {side} wire {ref!r} must point to an earlier gate")
 
     def __len__(self):
         return len(self.gates)

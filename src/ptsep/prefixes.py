@@ -9,14 +9,16 @@ the right side, and sigma1/sigma2 (resp. tau1/tau2) are reachable from sigma
 equivalent to an infinite tower of prefixes, and the witness words assemble
 the tower u (x u1 y u2)* (x + x u1 y).
 
-Both searches run on :func:`~ptsep.automata.intersection`, the reachable
-product, whose state ids follow the order of the (left, right) state pairs.
-Every product state is reachable, and the languages are disjoint exactly
-when the product has no final state.
+Both searches read the reachable product straight off the product kernel
+:func:`~ptsep.automata._product` (see :func:`_reachable_product`): its state
+ids follow the order of the (left, right) state pairs, every state is
+reachable, and the languages are disjoint exactly when no state is final on
+both sides.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -24,11 +26,13 @@ from typing import Optional
 from .automata import (
     Automaton,
     Word,
+    _product,
+    _require_same_alphabet,
+    _rows,
     bits,
     complete,
     determinize,
     fold_reachable,
-    intersection,
     mask_of,
     strongly_connected_components,
     trim,
@@ -79,6 +83,27 @@ class Pattern:
                 "u2": list(self.u2),
             },
         }
+
+
+def _reachable_product(a: Automaton, b: Automaton):
+    """(pairs, adj, starts) of the reachable product of disjoint languages:
+    the (left, right) pair of each state in sorted pair order, the sorted
+    (symbol, target) moves of each state, and the start states, ascending.
+    Raises ValueError when a state is final on both sides."""
+    _require_same_alphabet(a, b)
+    nb = b.state_count
+    starts = {p * nb + q for p in a.initials for q in b.initials}
+    keys, moves, finals = _product(_rows(a), _rows(b), nb, len(a.alphabet), starts,
+                                   a.finals, b.finals)
+    if finals:
+        raise ValueError("languages must be disjoint")
+    adj = [[] for _ in keys]
+    for s, sym, t in moves:
+        adj[s].append((sym, t))
+    for row in adj:
+        row.sort()
+    return (tuple(divmod(key, nb) for key in keys), adj,
+            sorted(bisect_left(keys, key) for key in starts))
 
 
 def _bfs_word(adj, sources, target, alphabet) -> Optional[tuple]:
@@ -137,18 +162,9 @@ def find_pattern(a: Automaton, b: Automaton) -> Optional[Pattern]:
     """Deterministic search for a pattern; None when there is no infinite
     tower of prefixes.  Candidates are scanned in canonical (state id) order
     so the result is reproducible."""
-    prod = intersection(a, b)
-    if prod.finals:
-        raise ValueError("languages must be disjoint")
-    labels = prod.state_labels
-    adj = prod.adjacency()
-    n = prod.state_count
-
-    has_self_loop = [False] * n
-    for s, _, t in prod.transitions:
-        if s == t:
-            has_self_loop[s] = True
-
+    labels, adj, starts = _reachable_product(a, b)
+    n = len(labels)
+    has_self_loop = [any(t == v for _, t in adj[v]) for v in range(n)]
     plain = [sorted({t for _, t in adj[v]}) for v in range(n)]
     comps = strongly_connected_components(plain)
 
@@ -170,7 +186,7 @@ def find_pattern(a: Automaton, b: Automaton) -> Optional[Pattern]:
             if not candidates:
                 return None
             best = min(candidates)
-            return best, _square_word(walk, best, prod.alphabet), walk
+            return best, _square_word(walk, best, a.alphabet), walk
 
         found_sigma = None
         for sigma in members:
@@ -191,9 +207,9 @@ def find_pattern(a: Automaton, b: Automaton) -> Optional[Pattern]:
 
         sigma, (sigma1, sigma2), x = found_sigma
         tau, (tau1, tau2), y = found_tau
-        u = _bfs_word(adj, sorted(prod.initials), sigma, prod.alphabet)
-        u1 = _bfs_word(adj, [sigma2], tau, prod.alphabet)
-        u2 = _bfs_word(adj, [tau2], sigma, prod.alphabet)
+        u = _bfs_word(adj, starts, sigma, a.alphabet)
+        u1 = _bfs_word(adj, [sigma2], tau, a.alphabet)
+        u2 = _bfs_word(adj, [tau2], sigma, a.alphabet)
         assert u is not None and u1 is not None and u2 is not None
         return Pattern(
             scc=tuple(members),
@@ -233,20 +249,17 @@ def max_prefix_tower_height(a: Automaton, b: Automaton, budget=None):
     """
     da, db = (complete(x) if x.deterministic else determinize(trim(x), budget)
               for x in (a, b))
-    prod = intersection(da, db)
-    if prod.finals:
-        raise ValueError("languages must be disjoint")
-    labels = prod.state_labels
-    succ = [list({t for _, t in row}) for row in prod.adjacency()]
+    labels, adj, _ = _reachable_product(da, db)
+    succ = [list({t for _, t in row}) for row in adj]
     in_x = [p in da.finals for p, _ in labels]
     in_y = [q in db.finals for _, q in labels]
-    nodes = [v for v in range(prod.state_count) if in_x[v] or in_y[v]]
+    nodes = [v for v in range(len(labels)) if in_x[v] or in_y[v]]
     if not nodes:
         return 0
 
     # alternation edges: from v, every opposite-class state reachable by a
     # nonempty word, i.e. reachable from one of v's successors
-    (reach,) = fold_reachable(succ, [[1 << v for v in range(prod.state_count)]])
+    (reach,) = fold_reachable(succ, [[1 << v for v in range(len(labels))]])
     x_mask = mask_of(v for v in nodes if in_x[v])
     y_mask = mask_of(v for v in nodes if in_y[v])
     node_index = {v: i for i, v in enumerate(nodes)}

@@ -24,15 +24,6 @@ from .automata import (
 from .errors import NotDeterministic, NotMinimal
 
 
-def self_loop_alphabet(d: Automaton, q: int) -> frozenset:
-    """The set of letters with a self-loop at q."""
-    if not d.deterministic:
-        raise NotDeterministic("self_loop_alphabet expects a DFA")
-    if not (0 <= q < d.state_count):
-        raise ValueError(f"state id {q} out of range")
-    return frozenset(d.alphabet[sym] for s, sym, t in d.transitions if s == t == q)
-
-
 def pt_violation(d: Automaton) -> Optional[tuple]:
     """First violated condition of a minimal complete DFA, or None when the
     language is piecewise testable.
@@ -97,11 +88,6 @@ def _violation(m: int, delta) -> Optional[tuple]:
                 p = (common & -common).bit_length() - 1
                 return ("fork", (p, q, q2))
     return None
-
-
-def is_pt_minimal_dfa(d: Automaton) -> bool:
-    """Piecewise testability of the language of a minimal complete DFA."""
-    return pt_violation(d) is None
 
 
 def is_piecewise_testable(a: Automaton, budget=None) -> bool:

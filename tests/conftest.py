@@ -1,5 +1,7 @@
-"""Shared helpers: tiny automaton builders, seeded random instances, and an
-independent Moore-style minimization used as an oracle for the fast path."""
+"""Shared helpers: tiny automaton builders, seeded random instances, an
+independent Moore-style minimization used as an oracle for the fast path, and
+reference constructions (down-closure NFA, union, equivalence, self-loop
+letters) that the package does not need."""
 from __future__ import annotations
 
 import random
@@ -78,6 +80,20 @@ def random_complete_dfa(rng: random.Random, max_states=4, alphabet=("a", "b")):
     return Automaton(n, alphabet, {rng.randrange(n)}, finals, triples, True)
 
 
+def reachable_pairs(a, b):
+    """State pairs that one common word reaches from a pair of initials."""
+    seen = {(p, q) for p in a.initials for q in b.initials}
+    stack = list(seen)
+    while stack:
+        p, q = stack.pop()
+        for sp, sym, tp in a.transitions:
+            for sq, sym2, tq in b.transitions:
+                if sp == p and sq == q and sym == sym2 and (tp, tq) not in seen:
+                    seen.add((tp, tq))
+                    stack.append((tp, tq))
+    return seen
+
+
 def all_words(alphabet, max_len):
     for length in range(max_len + 1):
         yield from iter_product(alphabet, repeat=length)
@@ -92,7 +108,7 @@ def moore_minimize(d) -> dict:
     the DFA, restricts to reachable states, refines classes by (finality,
     class signature) until stable, then numbers the classes in BFS order from
     the initial class, letters in alphabet order.  Used as an oracle for
-    minimize()."""
+    minimal_dfa()."""
     from ptsep import complete
 
     d = complete(d)
@@ -147,6 +163,52 @@ def moore_minimize(d) -> dict:
 
 def moore_minimize_size(d) -> int:
     return moore_minimize(d)["states"]
+
+
+def down_closure(a):
+    """NFA for all subsequences of L(a) on the same state ids: a silent move
+    runs alongside every transition, and the silent moves are eliminated by
+    a search per state.  The reference for down_determinize()."""
+    succ = [set() for _ in range(a.state_count)]
+    for s, _, t in a.transitions:
+        succ[s].add(t)
+    transitions, finals = set(), set()
+    for q in range(a.state_count):
+        closure, stack = {q}, [q]
+        while stack:
+            for t in succ[stack.pop()]:
+                if t not in closure:
+                    closure.add(t)
+                    stack.append(t)
+        transitions |= {(q, sym, t) for s, sym, t in a.transitions if s in closure}
+        if closure & a.finals:
+            finals.add(q)
+    return Automaton(a.state_count, a.alphabet, a.initials, finals, transitions)
+
+
+def union(a, b):
+    """NFA for L(a) or L(b): the disjoint sum of the two automata."""
+    off = a.state_count
+    transitions = set(a.transitions)
+    for src, sym, dst in b.transitions:
+        transitions.add((src + off, sym, dst + off))
+    initials = set(a.initials) | {q + off for q in b.initials}
+    finals = set(a.finals) | {q + off for q in b.finals}
+    return Automaton(off + b.state_count, a.alphabet, initials, finals, transitions)
+
+
+def equivalent(a, b):
+    """Language equality, as inclusion both ways."""
+    from ptsep import includes
+
+    return includes(a, b) and includes(b, a)
+
+
+def self_loop_alphabet(d, q) -> frozenset:
+    """The set of letters with a self-loop at state q of a DFA."""
+    if not (0 <= q < d.state_count):
+        raise ValueError(f"state id {q} out of range")
+    return frozenset(d.alphabet[sym] for s, sym, t in d.transitions if s == t == q)
 
 
 @pytest.fixture

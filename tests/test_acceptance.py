@@ -36,7 +36,7 @@ from ptsep import (
     is_empty,
     is_piecewise_testable,
     max_prefix_tower_height,
-    minimize,
+    minimal_dfa,
     reachability,
     tower_preserving_determinization,
     transform_tower,
@@ -116,10 +116,10 @@ def test_criterion_02_exponential_family():
             failures.append(f"m={m}: tower failed to verify")
         if inst.tower.height != 2 ** (m + 1):
             failures.append(f"m={m}: height {inst.tower.height}")
-        if minimize(determinize(inst.right)).state_count != 2:
+        if minimal_dfa(determinize(inst.right)).state_count != 2:
             failures.append(f"m={m}: right minimal DFA not 2 states")
         if m <= 6:
-            size = minimize(determinize(inst.left)).state_count
+            size = minimal_dfa(determinize(inst.left)).state_count
             if size != 2 ** (m + 1):
                 failures.append(f"m={m}: left minimal DFA {size}")
         if m <= 5 and not is_piecewise_testable(inst.left):
@@ -286,8 +286,8 @@ def test_criterion_09_prefix_bounds():
     failures = []
     for m in range(1, 6):
         inst = instance("exp", m)
-        da = minimize(determinize(inst.left))
-        db = minimize(determinize(inst.right))
+        da = minimal_dfa(determinize(inst.left))
+        db = minimal_dfa(determinize(inst.right))
         height = max_prefix_tower_height(da, db)
         tight = (da.state_count * db.state_count) // 2
         if height != 2 ** (m + 1) or height != tight:

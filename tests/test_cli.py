@@ -82,11 +82,11 @@ def test_analyze_report_determinism(pair_files, capsys):
 
 def test_prefix_analyze(tmp_path, capsys):
     inst = gen_exp(2)
-    from ptsep import determinize, minimize
+    from ptsep import determinize, minimal_dfa
 
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-    save_automaton(minimize(determinize(inst.left)), pa)
-    save_automaton(minimize(determinize(inst.right)), pb)
+    save_automaton(minimal_dfa(determinize(inst.left)), pa)
+    save_automaton(minimal_dfa(determinize(inst.right)), pb)
     code = main(["prefix-analyze", str(pa), str(pb), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 1  # no infinite prefix tower
@@ -204,6 +204,9 @@ def test_verify_tower_malformed_document_exit_code(tmp_path, capsys, elements, f
     ({"vertices": 3, "edges": [[0, 1], [1, 5]], "s": 0, "t": 1}, "edges[1]"),
     ({"vertices": 3, "edges": [[0, 1]], "s": 0, "t": -1}, "t:"),
     ({"vertices": "3", "edges": [], "s": 0, "t": 0}, "vertices:"),
+    ({"vertices": 2, "edges": [[False, True]], "s": False, "t": True}, "s:"),
+    ({"vertices": True, "edges": [], "s": 0, "t": 0}, "vertices:"),
+    ({"vertices": 2, "edges": [[0, True]], "s": 0, "t": 1}, "edges[0]"),
 ])
 def test_graph_malformed_document_exit_code(tmp_path, capsys, graph, field):
     gpath = tmp_path / "graph.json"
@@ -239,13 +242,19 @@ def test_reduce_mcvp(tmp_path, capsys):
 
 def test_reduce_mcvp_malformed_gates_exit_code(tmp_path, capsys):
     cpath = tmp_path / "circuit.json"
-    write_json(cpath, {"gates": 5})
-    code = main(["reduce", "--kind", "mcvp", "--input", str(cpath),
-                 "--out-dir", str(tmp_path / "red")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "gates:" in captured.err
-    assert captured.out == ""
+    for gates, field in [
+        (5, "gates:"),
+        ([{"kind": "ONE"}, {"kind": "AND", "left": True, "right": True}], "left wire True"),
+        ([{"kind": "ONE"}, {"kind": "ONE"}, {"kind": "OR", "left": 1, "right": False}],
+         "right wire False"),
+    ]:
+        write_json(cpath, {"gates": gates})
+        code = main(["reduce", "--kind", "mcvp", "--input", str(cpath),
+                     "--out-dir", str(tmp_path / "red")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert field in captured.err
+        assert captured.out == ""
 
 
 def test_reduce_reach_and_oracle(tmp_path, capsys):

@@ -9,22 +9,19 @@ from ptsep import (
     Automaton,
     BudgetExceeded,
     determinize,
-    down_closure,
     down_determinize,
-    equivalent,
     gen_exp,
     includes,
     is_empty,
     is_subsequence,
-    language_embeds,
-    up_closure,
-    word_embeds_into_language,
 )
 from conftest import (
     accepted_set,
     all_words,
+    down_closure,
     empty_language,
     ends_with,
+    equivalent,
     literal,
     random_nfa,
     sigma_star,
@@ -86,35 +83,18 @@ def test_down_closure_state_ids_preserved():
     assert d.initials == a.initials
 
 
-def test_up_closure_literal_is_scattered_pattern():
-    ab = literal(("a", "b"), ("a", "b"))
-    up = up_closure(ab)
-    for w in all_words(("a", "b"), 5):
-        assert up.accepts(w) == is_subsequence(("a", "b"), w)
-
-
-def test_up_closure_trivial_cases():
-    assert is_empty(up_closure(empty_language(("a", "b"))))
-    full = sigma_star(("a", "b"))
-    assert equivalent(up_closure(full), full)
-
-
 def test_closure_properties_on_random_nfas():
     rng = random.Random(31)
     for _ in range(20):
         a = random_nfa(rng)
-        down = down_closure(a)
-        up = up_closure(a)
+        down = down_determinize(a)
         # extensive
         assert includes(down, a)
-        assert includes(up, a)
         # idempotent at the language level
-        assert equivalent(down_closure(down), down)
-        assert equivalent(up_closure(up), up)
+        assert equivalent(down_determinize(down), down)
         if not is_empty(a):
-            # eps embeds into any nonempty language, so up(down(L)) is total
+            # eps embeds into any word of a nonempty language
             assert down.accepts(())
-            assert equivalent(up_closure(down), sigma_star(("a", "b")))
 
 
 def test_closure_monotone():
@@ -124,8 +104,7 @@ def test_closure_monotone():
         b = random_nfa(rng)
         if not includes(b, a):
             continue
-        assert includes(down_closure(b), down_closure(a))
-        assert includes(up_closure(b), up_closure(a))
+        assert includes(down_determinize(b), down_determinize(a))
 
 
 def test_down_determinize_matches_plain_path():
@@ -152,15 +131,16 @@ def test_word_embeds_into_language():
     # a1 embeds into a1b, confirmed by enumerating words of length <= 2
     short = accepted_set(exp1.right, 2)
     assert any(is_subsequence(("a1",), w) for w in short)
-    assert word_embeds_into_language(("a1",), exp1.right)
-    assert word_embeds_into_language((), exp1.right)
-    assert not word_embeds_into_language(("a",), empty_language(("a",)))
+    assert down_determinize(exp1.right).accepts(("a1",))
+    assert down_determinize(exp1.right).accepts(())
+    assert not down_determinize(empty_language(("a",))).accepts(("a",))
 
 
 def test_language_embeds():
+    # L(x) embeds into L(y) when down(L(y)) includes L(x)
     full = sigma_star(("a", "b"))
     a = ends_with("a", ("a", "b"))
-    assert language_embeds(empty_language(("a", "b")), a)
-    assert language_embeds(a, a)
-    assert language_embeds(full, a)  # every w embeds into wa
-    assert not language_embeds(a, empty_language(("a", "b")))
+    assert includes(down_determinize(a), empty_language(("a", "b")))
+    assert includes(down_determinize(a), a)
+    assert includes(down_determinize(a), full)  # every w embeds into wa
+    assert not includes(down_determinize(empty_language(("a", "b"))), a)

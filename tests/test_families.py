@@ -21,16 +21,15 @@ from ptsep import (
     gen_reachability,
     is_empty,
     intersection,
-    minimize,
+    minimal_dfa,
     single_initial,
-    equivalent,
     tower_preserving_determinization,
     transform_tower,
     verify_tower,
 )
 from ptsep.families import find_accepting_path as fap  # noqa: F401  (alias check)
 from ptsep.towers import Tower
-from conftest import accepted_set
+from conftest import accepted_set, equivalent
 
 
 def test_gen_quadratic_structure():
@@ -76,7 +75,7 @@ def test_gen_exp_structure():
             expected.add((i, i, j))
     assert left.transitions == expected
     assert inst.tower.height == 16
-    assert minimize(determinize(inst.right)).state_count == 2
+    assert minimal_dfa(determinize(inst.right)).state_count == 2
 
 
 def test_gen_exp_zero():
@@ -205,7 +204,7 @@ def test_gen_mcvp_padding_flag():
     padded_left, _ = gen_mcvp(fig, padded=True)
     assert len(padded_left.alphabet) == len(bare_left.alphabet) + 2 * 2
     # padding makes the left automaton minimal
-    complete_states = minimize(determinize(padded_left)).state_count
+    complete_states = minimal_dfa(determinize(padded_left)).state_count
     assert complete_states == padded_left.state_count + 1  # plus the sink
 
 
@@ -239,7 +238,7 @@ def test_gen_reachability_labels():
     assert left.deterministic and right.deterministic
     assert is_empty(intersection(left, right))
     dleft, dright = gen_reachability(3, [(0, 1), (1, 2)], 0, 2, dfa=True)
-    assert minimize(determinize(dleft)).state_count == dleft.state_count + 1
+    assert minimal_dfa(determinize(dleft)).state_count == dleft.state_count + 1
     assert len(dleft.finals) == 2
 
 

@@ -17,12 +17,12 @@ from ptsep import (
     is_empty,
     materialize_prefix_tower,
     max_prefix_tower_height,
-    minimize,
+    minimal_dfa,
     reachability,
     verify_tower,
 )
 from ptsep.families import Circuit, Gate
-from conftest import literal, random_complete_dfa, random_nfa
+from conftest import literal, random_complete_dfa, random_nfa, reachable_pairs
 
 
 def test_pattern_requires_disjoint():
@@ -87,6 +87,8 @@ def test_pattern_sides():
     assert pa in left.finals
     pa, pb = pattern.pair(pattern.tau1)
     assert pb in right.finals
+    # product states are numbered in sorted pair order
+    assert pattern.state_pairs == tuple(sorted(reachable_pairs(left, right)))
     data = pattern.to_dict()
     assert set(data["words"]) == {"u", "x", "y", "u1", "u2"}
 
@@ -94,8 +96,8 @@ def test_pattern_sides():
 def test_exp_minimal_dfas_meet_prefix_bound():
     for m in (1, 2, 3):
         inst = gen_exp(m)
-        da = minimize(determinize(inst.left))
-        db = minimize(determinize(inst.right))
+        da = minimal_dfa(determinize(inst.left))
+        db = minimal_dfa(determinize(inst.right))
         height = max_prefix_tower_height(da, db)
         assert height == 2 ** (m + 1)
         assert height == (da.state_count * db.state_count) // 2
@@ -119,6 +121,8 @@ def test_agreement_pattern_vs_height_vs_brute(rng):
         pattern = find_pattern(a, b)
         height = max_prefix_tower_height(a, b)
         assert (pattern is not None) == (height == math.inf)
+        if pattern is not None:
+            assert pattern.state_pairs == tuple(sorted(reachable_pairs(a, b)))
         brute = brute_max_tower_height(a, b, "prefix", max_len=10, budget=4096)
         if height == math.inf:
             assert not brute.exact

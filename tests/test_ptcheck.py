@@ -12,14 +12,11 @@ from ptsep import (
     gen_universality,
     intersection,
     is_piecewise_testable,
-    is_pt_minimal_dfa,
-    minimize,
+    minimal_dfa,
     pt_violation,
-    self_loop_alphabet,
-    union,
     complement,
 )
-from conftest import dfa, empty_language, ends_with, literal, sigma_star
+from conftest import dfa, empty_language, ends_with, literal, self_loop_alphabet, sigma_star, union
 
 
 def aa_star():
@@ -27,7 +24,7 @@ def aa_star():
 
 
 def test_self_loop_alphabet():
-    d = minimize(determinize(literal(("a",), ("a", "b"))))
+    d = minimal_dfa(determinize(literal(("a",), ("a", "b"))))
     # the sink of a complete DFA loops on the whole alphabet
     sink = next(
         q for q in range(d.state_count)
@@ -47,7 +44,7 @@ def test_self_loop_alphabet_quadratic_right():
 
 
 def test_condition_one_cycle():
-    assert not is_pt_minimal_dfa(aa_star())
+    assert pt_violation(aa_star()) is not None
     kind, states = pt_violation(aa_star())
     assert kind == "cycle"
     assert set(states) == {0, 1}
@@ -67,7 +64,7 @@ def test_condition_two_fork():
         0,
         {1, 2},
     )
-    mini = minimize(d)
+    mini = minimal_dfa(d)
     violation = pt_violation(mini)
     assert violation is not None and violation[0] == "fork"
     assert not is_piecewise_testable(d)
@@ -75,22 +72,22 @@ def test_condition_two_fork():
 
 def test_minimal_dfa_guards():
     with pytest.raises(NotDeterministic):
-        is_pt_minimal_dfa(Automaton(2, ("a",), {0, 1}, {0}, set()))
+        pt_violation(Automaton(2, ("a",), {0, 1}, {0}, set()))
     redundant = dfa(("a",), {0: {"a": 1}, 1: {"a": 1}}, 0, {0, 1})
     with pytest.raises(NotMinimal):
-        is_pt_minimal_dfa(redundant)
+        pt_violation(redundant)
 
 
 def test_exp_left_languages_are_pt():
     for m in range(4):
         inst = gen_exp(m)
         assert is_piecewise_testable(inst.left)
-        assert is_pt_minimal_dfa(minimize(determinize(inst.left)))
+        assert pt_violation(minimal_dfa(determinize(inst.left))) is None
 
 
 def test_trivial_minimal_dfas_are_pt():
-    just_eps = minimize(determinize(literal((), ("a",))))
-    assert is_pt_minimal_dfa(just_eps)
+    just_eps = minimal_dfa(determinize(literal((), ("a",))))
+    assert pt_violation(just_eps) is None
     assert is_piecewise_testable(sigma_star(("a", "b")))
     assert is_piecewise_testable(empty_language(("a", "b")))
 
@@ -114,8 +111,8 @@ def test_boolean_combinations_stay_pt():
     contains_a = Automaton(
         2, ("a", "b"), {0}, {1},
         {(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, "a", 1), (1, "b", 1)})
-    p1 = minimize(determinize(literal(("a", "b"), ("a", "b"))))  # {ab}
-    p2 = minimize(determinize(contains_a))
+    p1 = minimal_dfa(determinize(literal(("a", "b"), ("a", "b"))))  # {ab}
+    p2 = minimal_dfa(determinize(contains_a))
     assert is_piecewise_testable(p1) and is_piecewise_testable(p2)
     assert is_piecewise_testable(union(p1, p2))
     assert is_piecewise_testable(intersection(p1, p2))
@@ -128,7 +125,7 @@ def test_power_families_not_pt():
     for k in (2, 3, 4):
         triples = {(i, "a", (i + 1) % k) for i in range(k)}
         d = Automaton(k, ("a",), {0}, {0}, triples, True)
-        violation = pt_violation(minimize(d))
+        violation = pt_violation(minimal_dfa(d))
         assert violation is not None and violation[0] == "cycle"
 
 
@@ -181,8 +178,8 @@ def test_hand_labeled_fixture(name, factory, expected):
 def test_nfa_and_minimal_dfa_agree():
     for name, factory, expected in PT_FIXTURES:
         a = factory()
-        mini = minimize(determinize(a))
-        assert is_pt_minimal_dfa(mini) == is_piecewise_testable(a) == expected
+        mini = minimal_dfa(determinize(a))
+        assert (pt_violation(mini) is None) == is_piecewise_testable(a) == expected
 
 
 def test_audit_minimizes_once(monkeypatch):
