@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 from . import families, oracles, prefixes, ptcheck, towers
 from .automata import (
+    _minimal,
     automaton_from_dict,
     automaton_to_dict,
     load_automaton,
-    minimal_dfa,
     normalize_alphabets,
     save_automaton,
     whole,
@@ -155,15 +155,15 @@ def cmd_prefix_analyze(args) -> int:
     with _timer(report, "pattern"):
         pattern = prefixes.find_pattern(left, right)
     report.data["pattern_found"] = pattern is not None
-    dfas = [minimal_dfa(x, args.budget) for x in (left, right)]
+    dfas = [_minimal(x, args.budget) for x in (left, right)]
     if pattern is not None:
         report.data["pattern"] = pattern.to_dict()
         report.data["height"] = "infinite"
     else:
         with _timer(report, "height"):
-            height = prefixes.max_prefix_tower_height(*dfas, budget=args.budget)
+            height = prefixes._flat_height(len(left.alphabet), *dfas)
         report.data["height"] = int(height)
-    m, n = (d.state_count for d in dfas)
+    m, n = (d[0] for d in dfas)
     report.data["bounds"] = {
         "minimal_dfa_states": [m, n],
         "dfa_pair_bound": (m * n) // 2,

@@ -92,29 +92,20 @@ def _accepts_superword(word, automaton: Automaton) -> bool:
     return False
 
 
-def _accepts_extension(word, automaton: Automaton) -> bool:
-    """True iff the automaton accepts a strict extension of ``word``."""
-    current = automaton.initial_mask
-    for name in word:
-        current = automaton.step(current, automaton.symbol_id(name))
-        if not current:
-            return False
-    from collections import deque
-
+def _accepts_extension(states: int, automaton: Automaton) -> bool:
+    """True iff the automaton accepts a nonempty word from the state set."""
     fmask = automaton.final_mask
-    seen = {current}
-    queue = deque([current])
-    first = True
-    while queue:
-        states = queue.popleft()
-        if not first and states & fmask:
-            return True
-        first = False
+    seen = {states}
+    stack = [states]
+    while stack:
+        current = stack.pop()
         for sym in range(len(automaton.alphabet)):
-            nxt = automaton.step(states, sym)
-            if nxt and nxt not in seen:
+            nxt = automaton.step(current, sym)
+            if nxt & fmask:
+                return True
+            if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
+                stack.append(nxt)
     return False
 
 
@@ -132,10 +123,17 @@ def brute_max_tower_height(
     ending on either side are propagated from w's one-letter-shorter
     predecessors, which covers every strict relation step.  A word accepted
     by both automata yields the unbounded tower w, w, w, ... and is reported
-    as at_least(height_cap).  Otherwise the answer is exact unless some
-    maximal chain provably extends past the enumeration horizon (the other
-    language accepts a superword of its top), in which case it is
-    at_least(h).
+    as at_least(height_cap).
+
+    For prefixes the answer is exact when every word w of length max_len
+    shares its pair of state sets with a shorter word whose chain heights are
+    at least w's, or has accepted strict extensions on one side at most and
+    too low a chain below it to gain from them.  A taller tower with the
+    shortest top would pass through such a w, and swapping w for the shorter
+    word would give a taller tower with a shorter top.  For subsequences the
+    answer is exact unless a chain of the found height provably extends past
+    the horizon (the other language accepts a superword of its top); chains
+    below that height are not checked.
     """
     if relation not in ("subsequence", "prefix"):
         raise ValueError(f"unknown relation {relation!r}")
@@ -143,55 +141,59 @@ def brute_max_tower_height(
         raise ValueError("oracle needs a shared alphabet")
     _check_enumeration_budget(len(a.alphabet), max_len, budget)
 
-    in_a = set(enumerate_language(a, max_len, budget))
-    in_b = set(enumerate_language(b, max_len, budget))
-    if not in_a and not in_b:
-        return TowerSearch(0, True)
-    if in_a & in_b:
-        return TowerSearch(height_cap, False)
-
-    alphabet = a.alphabet
+    fa, fb = a.final_mask, b.final_mask
+    sets = {(): (a.initial_mask, b.initial_mask)}  # word -> its state sets
     # best[w] = (tallest chain ending on the a-side with top v related-below w,
     #            same for the b-side); both include v == w itself.
     best = {}
     ending = {}  # (word, side) -> chain height ending exactly there
-
-    def settle(word):
-        if relation == "prefix":
-            prop_a, prop_b = best[word[:-1]] if word else (0, 0)
-        else:
-            prop_a, prop_b = 0, 0
+    for length in range(max_len + 1):
+        for word in iter_product(range(len(a.alphabet)), repeat=length):
             if word:
-                seen = set()
-                for i in range(len(word)):
-                    shorter = word[:i] + word[i + 1:]
-                    if shorter in seen:
-                        continue
-                    seen.add(shorter)
+                sa, sb = sets[word[:-1]]
+                sets[word] = (sa and a.step(sa, word[-1]), sb and b.step(sb, word[-1]))
+            sa, sb = sets[word]
+            if sa & fa and sb & fb:
+                return TowerSearch(height_cap, False)
+            if relation == "prefix":
+                prop_a, prop_b = best[word[:-1]] if word else (0, 0)
+            else:
+                prop_a = prop_b = 0
+                for shorter in {word[:i] + word[i + 1:] for i in range(length)}:
                     pa, pb = best[shorter]
                     if pa > prop_a:
                         prop_a = pa
                     if pb > prop_b:
                         prop_b = pb
-        here_a = prop_b + 1 if word in in_a else 0
-        here_b = prop_a + 1 if word in in_b else 0
-        if here_a:
-            ending[(word, "a")] = here_a
-        if here_b:
-            ending[(word, "b")] = here_b
-        best[word] = (max(prop_a, here_a), max(prop_b, here_b))
+            here_a = prop_b + 1 if sa & fa else 0
+            here_b = prop_a + 1 if sb & fb else 0
+            if here_a:
+                ending[(word, "a")] = here_a
+            if here_b:
+                ending[(word, "b")] = here_b
+            best[word] = (max(prop_a, here_a), max(prop_b, here_b))
 
-    settle(())
-    for length in range(1, max_len + 1):
-        for letters in iter_product(alphabet, repeat=length):
-            settle(letters)
+    height = max(ending.values(), default=0)
+    if relation == "prefix":
+        earlier = {}  # state-set pair -> chain heights of shorter words
+        for word, pair in sets.items():
+            if len(word) < max_len:
+                earlier.setdefault(pair, set()).add(best[word])
 
-    if not ending:
-        return TowerSearch(0, True)
-    height = max(ending.values())
-    grows = _accepts_extension if relation == "prefix" else _accepts_superword
+        def settled(word):
+            """No tower taller than ``height`` passes beyond this horizon word."""
+            (sa, sb), (x, y) = sets[word], best[word]
+            if any(p >= x and q >= y for p, q in earlier.get((sa, sb), ())):
+                return True
+            grow_a, grow_b = _accepts_extension(sa, a), _accepts_extension(sb, b)
+            # beyond the word, one side alone adds one element at most
+            return not (grow_a and grow_b) and (
+                y + 1 if grow_a else x + 1 if grow_b else 0) <= height
+
+        return TowerSearch(height, all(settled(w) for w in sets if len(w) == max_len))
     for (word, side), h in ending.items():
-        if h == height and grows(word, b if side == "a" else a):
+        top = tuple(a.alphabet[sym] for sym in word)
+        if h == height and _accepts_superword(top, b if side == "a" else a):
             return TowerSearch(height, False)
     return TowerSearch(height, True)
 

@@ -9,11 +9,21 @@ the right side, and sigma1/sigma2 (resp. tau1/tau2) are reachable from sigma
 equivalent to an infinite tower of prefixes, and the witness words assemble
 the tower u (x u1 y u2)* (x + x u1 y).
 
+The height is read off the product of two complete DFAs, where every word
+leads to one state.  A tower of prefixes is then a walk whose elements land
+alternately in X = F_A x (Q_B \\ F_B) and Y = (Q_A \\ F_A) x F_B; disjointness
+leaves F_A x F_B empty.  One pass over the product's condensation, successors
+first, finds the longest alternation.  A component holding both an X and a Y
+state makes it infinite: the two are mutually reachable by nonempty words, so
+the walk can alternate forever, and any state pair that alternates forever is
+mutually reachable, hence in one component.  Any other component meets one
+class at most, and all its states reach the same states outside it, so its
+best X-bottomed and Y-bottomed heights follow from those of its successors.
+
 Both searches read the reachable product straight off the product kernel
-:func:`~ptsep.automata._product` (see :func:`_reachable_product`): its state
-ids follow the order of the (left, right) state pairs, every state is
-reachable, and the languages are disjoint exactly when no state is final on
-both sides.
+:func:`~ptsep.automata._product`: its state ids follow the order of the
+(left, right) state pairs, every state is reachable, and the languages are
+disjoint exactly when no state is final on both sides.
 """
 from __future__ import annotations
 
@@ -26,16 +36,11 @@ from typing import Optional
 from .automata import (
     Automaton,
     Word,
+    _minimal,
     _product,
     _require_same_alphabet,
     _rows,
-    bits,
-    complete,
-    determinize,
-    fold_reachable,
-    mask_of,
     strongly_connected_components,
-    trim,
 )
 from .towers import LEFT, PREFIX, RIGHT, Tower
 
@@ -237,47 +242,39 @@ def materialize_prefix_tower(pattern: Pattern, count: int) -> Tower:
 
 def max_prefix_tower_height(a: Automaton, b: Automaton, budget=None):
     """Exact maximal height of a finite tower of prefixes between disjoint
-    languages, or ``math.inf`` when an infinite one exists.
+    languages, or ``math.inf`` when an infinite one exists.  A height is a
+    property of the languages, so it is measured on the canonical minimal
+    DFAs of the inputs (:func:`~ptsep.automata._minimal`)."""
+    _require_same_alphabet(a, b)
+    return _flat_height(len(a.alphabet), _minimal(a, budget), _minimal(b, budget))
 
-    Both inputs are made complete DFAs, by the subset construction when they
-    are nondeterministic, so every word drives the product to one state; a
-    tower is then a walk through the alternation classes
-    X = F_A x (Q_B \\ F_B) and Y = (Q_A \\ F_A) x F_B of the reachable
-    product, and the answer is the longest such walk (infinite iff it can
-    cycle).  The product has no state in F_A x F_B, so X and Y are told
-    apart by one side alone.
-    """
-    da, db = (complete(x) if x.deterministic else determinize(trim(x), budget)
-              for x in (a, b))
-    labels, adj, _ = _reachable_product(da, db)
-    succ = [list({t for _, t in row}) for row in adj]
-    in_x = [p in da.finals for p, _ in labels]
-    in_y = [q in db.finals for _, q in labels]
-    nodes = [v for v in range(len(labels)) if in_x[v] or in_y[v]]
-    if not nodes:
-        return 0
 
-    # alternation edges: from v, every opposite-class state reachable by a
-    # nonempty word, i.e. reachable from one of v's successors
-    (reach,) = fold_reachable(succ, [[1 << v for v in range(len(labels))]])
-    x_mask = mask_of(v for v in nodes if in_x[v])
-    y_mask = mask_of(v for v in nodes if in_y[v])
-    node_index = {v: i for i, v in enumerate(nodes)}
-    alt_adj = []
-    for v in nodes:
-        later = 0
-        for t in succ[v]:
-            later |= reach[t]
-        later &= y_mask if in_x[v] else x_mask
-        alt_adj.append([node_index[t] for t in bits(later)])
-
-    comps = strongly_connected_components(alt_adj)
-    if any(len(comp) > 1 for comp in comps):
-        return INFINITE
-
-    # longest path in the acyclic alternation graph; components arrive in
-    # reverse topological order, so successors first
-    height = [0] * len(nodes)
-    for (i,) in comps:
-        height[i] = 1 + max((height[j] for j in alt_adj[i]), default=0)
-    return max(height)
+def _flat_height(m: int, da, db):
+    """The height kernel on two complete flat DFAs over m letters: one pass
+    over the condensation of their reachable product (module docstring)."""
+    (_, delta_a, finals_a), (nb, delta_b, finals_b) = da, db
+    keys, moves, both = _product([(t,) for t in delta_a], [(t,) for t in delta_b],
+                                 nb, m, (0,), finals_a, finals_b)
+    if both:
+        raise ValueError("languages must be disjoint")
+    succ = [[] for _ in keys]
+    for s, _, t in moves:
+        succ[s].append(t)
+    comp_of = [0] * len(keys)
+    # per component: the highest tower whose first element lies in X (in Y)
+    # at a state reachable from the component
+    best_x, best_y = [], []
+    for c, comp in enumerate(strongly_connected_components(succ)):
+        for v in comp:
+            comp_of[v] = c
+        later = {comp_of[t] for v in comp for t in succ[v]} - {c}
+        below_x = max((best_x[d] for d in later), default=0)
+        below_y = max((best_y[d] for d in later), default=0)
+        has_x = any(keys[v] // nb in finals_a for v in comp)
+        has_y = any(keys[v] % nb in finals_b for v in comp)
+        if has_x and has_y:
+            return INFINITE
+        best_x.append(max(below_x, below_y + 1) if has_x else below_x)
+        best_y.append(max(below_y, below_x + 1) if has_y else below_y)
+    # the start state 0 reaches every state, so its component comes last
+    return max(best_x[-1], best_y[-1])

@@ -1,9 +1,11 @@
 """Shared helpers: tiny automaton builders, seeded random instances, an
 independent Moore-style minimization used as an oracle for the fast path, and
 reference constructions (down-closure NFA, union, equivalence, self-loop
-letters) that the package does not need."""
+letters, the alternation-graph prefix-tower height) that the package does not
+need."""
 from __future__ import annotations
 
+import math
 import random
 from itertools import product as iter_product
 
@@ -209,6 +211,58 @@ def self_loop_alphabet(d, q) -> frozenset:
     if not (0 <= q < d.state_count):
         raise ValueError(f"state id {q} out of range")
     return frozenset(d.alphabet[sym] for s, sym, t in d.transitions if s == t == q)
+
+
+def alternation_height(a, b, budget=None):
+    """Reference prefix-tower height: the longest path in the transitive
+    alternation graph.  Both inputs become complete DFAs.  Each left-final (X)
+    or right-final (Y) state of their reachable product has an edge to every
+    state of the other class that a nonempty word leads to, and a cycle means
+    an infinite tower."""
+    from ptsep import complete, determinize, trim
+    from ptsep.automata import bits, fold_reachable, mask_of, strongly_connected_components
+
+    da, db = (complete(x) if x.deterministic else determinize(trim(x), budget)
+              for x in (a, b))
+    moves = [{(s, sym): t for s, sym, t in x.transitions} for x in (da, db)]
+    labels = [(p, q) for p in da.initials for q in db.initials]
+    index = {pair: i for i, pair in enumerate(labels)}
+    succ = []
+    for p, q in labels:  # grows while it is scanned
+        row = set()
+        for sym in range(len(da.alphabet)):
+            pair = (moves[0][p, sym], moves[1][q, sym])
+            if pair not in index:
+                index[pair] = len(labels)
+                labels.append(pair)
+            row.add(index[pair])
+        succ.append(list(row))
+    in_x = [p in da.finals for p, _ in labels]
+    in_y = [q in db.finals for _, q in labels]
+    if any(map(min, in_x, in_y)):
+        raise ValueError("languages must be disjoint")
+    nodes = [v for v in range(len(labels)) if in_x[v] or in_y[v]]
+    if not nodes:
+        return 0
+    (reach,) = fold_reachable(succ, [[1 << v for v in range(len(labels))]])
+    x_mask = mask_of(v for v in nodes if in_x[v])
+    y_mask = mask_of(v for v in nodes if in_y[v])
+    node_index = {v: i for i, v in enumerate(nodes)}
+    alt_adj = []
+    for v in nodes:
+        later = 0
+        for t in succ[v]:
+            later |= reach[t]
+        later &= y_mask if in_x[v] else x_mask
+        alt_adj.append([node_index[t] for t in bits(later)])
+    comps = strongly_connected_components(alt_adj)
+    if any(len(comp) > 1 for comp in comps):
+        return math.inf
+    # components arrive successors first
+    height = [0] * len(nodes)
+    for (i,) in comps:
+        height[i] = 1 + max((height[j] for j in alt_adj[i]), default=0)
+    return max(height)
 
 
 @pytest.fixture

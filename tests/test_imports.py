@@ -108,6 +108,7 @@ KEPT = {
     "pt_violation": "the PT conditions on a given minimal DFA, with their witness",
     "NotMinimal": "raised by pt_violation on a DFA that is not minimal",
     "down_determinize": "checked against the down-closure reference in the tests",
+    "minimal_dfa": "the canonical minimal DFA as an Automaton, the tests' minimization route",
 }
 
 

@@ -8,6 +8,7 @@ from ptsep import (
     brute_max_tower_height,
     enumerate_language,
     gen_exp,
+    gen_reachability,
     reachability,
     upper_bound_height,
 )
@@ -65,6 +66,14 @@ def test_brute_tower_prefix_relation():
     a = Automaton(2, ("a", "b"), {0}, {1}, {(0, "a", 1), (1, "b", 0)}, True)
     b = Automaton(2, ("a", "b"), {0}, {1}, {(0, "b", 1), (1, "a", 0)}, True)
     assert brute_max_tower_height(a, b, "prefix", 6) == (1, True)
+    # a horizon is no proof of finiteness: the path 0 -> 1 -> 2 gives an
+    # infinite tower, and the tallest tower inside length 3 has a top that
+    # neither side extends
+    left, right = gen_reachability(3, [(0, 1), (1, 2)], 0, 2, dfa=True)
+    assert brute_max_tower_height(left, right, "prefix", 3) == (3, False)
+    # nor is an empty horizon: a^11, a^12 is a tower beyond length 10
+    far = literal(("a",) * 11, ("a",)), literal(("a",) * 12, ("a",))
+    assert brute_max_tower_height(*far, "prefix", 10) == (0, False)
     # but subsequence towers keep alternating: a, bab, ababa, ... and every
     # maximal chain inside the horizon is extendable
     sub = brute_max_tower_height(a, b, "subsequence", 6)

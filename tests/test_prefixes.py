@@ -10,8 +10,11 @@ from ptsep import (
     brute_max_tower_height,
     determinize,
     find_pattern,
+    gen_2exp,
     gen_exp,
+    gen_expdfa,
     gen_mcvp,
+    gen_quadratic,
     gen_reachability,
     intersection,
     is_empty,
@@ -22,7 +25,13 @@ from ptsep import (
     verify_tower,
 )
 from ptsep.families import Circuit, Gate
-from conftest import literal, random_complete_dfa, random_nfa, reachable_pairs
+from conftest import (
+    alternation_height,
+    literal,
+    random_complete_dfa,
+    random_nfa,
+    reachable_pairs,
+)
 
 
 def test_pattern_requires_disjoint():
@@ -109,6 +118,10 @@ def test_singleton_pair_heights():
     assert max_prefix_tower_height(k, l) == 1
     prefix_pair = literal(("a",), ("a", "b")), literal(("a", "b"), ("a", "b"))
     assert max_prefix_tower_height(*prefix_pair) == 2
+    # a(ba)* against (ab)+: a < ab < aba < ... cycles through two states
+    odd = Automaton(3, ("a", "b"), {0}, {1}, {(0, "a", 1), (1, "b", 2), (2, "a", 1)}, True)
+    even = Automaton(3, ("a", "b"), {0}, {2}, {(0, "a", 1), (1, "b", 2), (2, "a", 1)}, True)
+    assert max_prefix_tower_height(odd, even) == math.inf
 
 
 def test_agreement_pattern_vs_height_vs_brute(rng):
@@ -131,6 +144,65 @@ def test_agreement_pattern_vs_height_vs_brute(rng):
             assert brute.height == height
         agree += 1
     assert agree >= 50
+
+    # graph reductions, half of them reachable: a pattern exactly when t is
+    # reachable from s, in both variants
+    graphs = random.Random(8102)
+    wanted = {True: 20, False: 20}
+    patterns = exact = 0
+    while any(wanted.values()):
+        n = graphs.randint(2, 4)
+        edges = [(u, v) for u in range(n) for v in range(n) if graphs.random() < 0.3]
+        s, t = graphs.sample(range(n), 2)
+        reachable = reachability(n, edges, s, t)
+        if not wanted[reachable]:
+            continue
+        wanted[reachable] -= 1
+        for dfa in (False, True):
+            a, b = gen_reachability(n, edges, s, t, dfa=dfa)
+            pattern = find_pattern(a, b)
+            height = max_prefix_tower_height(a, b)
+            assert (pattern is not None) == (height == math.inf) == reachable
+            assert height == alternation_height(a, b)
+            patterns += pattern is not None
+            # the longest horizon within 4096 words
+            k = len(a.alphabet)
+            max_len = max(length for length in range(1, 11)
+                          if sum(k ** i for i in range(length + 1)) <= 4096)
+            brute = brute_max_tower_height(a, b, "prefix", max_len=max_len, budget=4096)
+            if brute.exact:
+                assert brute.height == height
+                exact += 1
+    assert patterns >= 30 and exact >= 30
+
+
+def test_height_matches_alternation_graph_reference():
+    draws = random.Random(8101)
+    compared = overlapping = 0
+    for i in range(2400):
+        alphabet = ("a", "b", "c")[:draws.randint(2, 3)]
+        if i % 2:
+            a, b = (random_nfa(draws, max_states=6, alphabet=alphabet) for _ in "ab")
+        else:
+            a, b = (random_complete_dfa(draws, max_states=6, alphabet=alphabet)
+                    for _ in "ab")
+        try:
+            expected = alternation_height(a, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="languages must be disjoint"):
+                max_prefix_tower_height(a, b)
+            overlapping += 1
+            continue
+        assert max_prefix_tower_height(a, b) == expected
+        compared += 1
+    assert compared >= 1000 and overlapping >= 500
+    families = ((gen_quadratic, range(4, 17, 2)), (gen_exp, range(1, 10)),
+                (gen_2exp, range(1, 6)), (gen_expdfa, range(1, 7)))
+    for gen, params in families:
+        for param in params:
+            inst = gen(param)
+            assert (max_prefix_tower_height(inst.left, inst.right)
+                    == alternation_height(inst.left, inst.right))
 
 
 def test_dfa_bound_on_random_instances(rng):
