@@ -409,28 +409,39 @@ def _complement(dfa):
 
 
 def _subset_construction(move, start_mask: int, final_mask: int,
-                         budget: Optional[int]):
+                         budget: Optional[int], cover=None):
     """The one subset construction.  ``move[sym][q]`` is the target mask of
     state q under sym; a subset is final when it meets ``final_mask``.  The
     result is the flat DFA over the explored subsets, numbered in BFS order
     (the empty subset, when reached, is the sink); more than ``budget``
-    subsets (:data:`DEFAULT_BUDGET` when None) raise BudgetExceeded."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
+    subsets (:data:`DEFAULT_BUDGET` when None) raise BudgetExceeded.
+
+    A subset moves to the OR of ``move[sym]`` over its members or, given a
+    ``cover`` table, over picks only: pick the lowest member q left, strike
+    ``cover[q]``, repeat.  In the closure machine's closed tables
+    ``move[sym][q']`` lies inside ``move[sym][q]`` for q' in ``cover[q]``,
+    and every member is a pick or in a pick's cover, so the picks' OR is the
+    members' OR (see :mod:`ptsep.closures`)."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    what = "subset construction" if cover is None else "down-closure subset construction"
+    cover = [1 << q for q in range(len(move[0]))] if cover is None else cover
     index = {start_mask: 0}
     subsets = [start_mask]
     delta = []
     for current in subsets:  # grows while it is scanned
-        members = list(bits(current))
+        picks, rest = [], current
+        while rest:
+            q = (rest & -rest).bit_length() - 1
+            picks.append(q)
+            rest &= ~cover[q]
         for row in move:
             target = 0
-            for q in members:
+            for q in picks:
                 target |= row[q]
             dst = index.get(target)
             if dst is None:
                 if len(subsets) >= budget:
-                    raise BudgetExceeded(
-                        f"subset construction exceeded budget of {budget} states")
+                    raise BudgetExceeded(f"{what} exceeded budget of {budget} states")
                 dst = index[target] = len(subsets)
                 subsets.append(target)
             delta.append(dst)

@@ -63,50 +63,16 @@ def enumerate_language(a: Automaton, max_len: int, budget: Optional[int] = None)
     return out
 
 
-def _accepts_superword(word, automaton: Automaton) -> bool:
-    """True iff the automaton accepts some word containing ``word`` as a
-    subsequence; direct BFS over (state set, matched positions)."""
-    from collections import deque
-
-    goal = len(word)
-    start = (automaton.initial_mask, 0)
-    seen = {start}
-    queue = deque([start])
-    fmask = automaton.final_mask
-    m = len(automaton.alphabet)
-    while queue:
-        states, pos = queue.popleft()
-        if pos == goal and states & fmask:
-            return True
-        for sym in range(m):
-            nxt = automaton.step(states, sym)
-            if not nxt:
-                continue
-            npos = pos
-            if pos < goal and automaton.alphabet[sym] == word[pos]:
-                npos = pos + 1
-            key = (nxt, npos)
-            if key not in seen:
-                seen.add(key)
-                queue.append(key)
-    return False
-
-
-def _accepts_extension(states: int, automaton: Automaton) -> bool:
-    """True iff the automaton accepts a nonempty word from the state set."""
-    fmask = automaton.final_mask
-    seen = {states}
-    stack = [states]
-    while stack:
-        current = stack.pop()
+def _later(states: int, automaton: Automaton) -> int:
+    """The states that nonempty words lead to from the state set."""
+    out, frontier = 0, states
+    while frontier:
+        nxt = 0
         for sym in range(len(automaton.alphabet)):
-            nxt = automaton.step(current, sym)
-            if nxt & fmask:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+            nxt |= automaton.step(frontier, sym)
+        frontier = nxt & ~out
+        out |= nxt
+    return out
 
 
 def brute_max_tower_height(
@@ -132,8 +98,8 @@ def brute_max_tower_height(
     shortest top would pass through such a w, and swapping w for the shorter
     word would give a taller tower with a shorter top.  For subsequences the
     answer is exact unless a chain of the found height provably extends past
-    the horizon (the other language accepts a superword of its top); chains
-    below that height are not checked.
+    the horizon (its top lies in the down-closure of the other language);
+    chains below that height are not checked.
     """
     if relation not in ("subsequence", "prefix"):
         raise ValueError(f"unknown relation {relation!r}")
@@ -185,15 +151,20 @@ def brute_max_tower_height(
             (sa, sb), (x, y) = sets[word], best[word]
             if any(p >= x and q >= y for p, q in earlier.get((sa, sb), ())):
                 return True
-            grow_a, grow_b = _accepts_extension(sa, a), _accepts_extension(sb, b)
+            grow_a, grow_b = _later(sa, a) & fa, _later(sb, b) & fb
             # beyond the word, one side alone adds one element at most
             return not (grow_a and grow_b) and (
                 y + 1 if grow_a else x + 1 if grow_b else 0) <= height
 
         return TowerSearch(height, all(settled(w) for w in sets if len(w) == max_len))
     for (word, side), h in ending.items():
-        top = tuple(a.alphabet[sym] for sym in word)
-        if h == height and _accepts_superword(top, b if side == "a" else a):
+        if h < height:
+            continue
+        other = b if side == "a" else a
+        states = other.initial_mask  # match the top letter by letter, any moves in between
+        for sym in word:
+            states = other.step(states | _later(states, other), sym)
+        if (states | _later(states, other)) & other.final_mask:
             return TowerSearch(height, False)
     return TowerSearch(height, True)
 

@@ -32,7 +32,7 @@ from .automata import (
     trim,
 )
 from .closures import _down_subsets, is_prefix, is_subsequence
-from .errors import AlphabetMismatch, SchemaError
+from .errors import AlphabetMismatch, BudgetExceeded, SchemaError
 
 SUBSEQUENCE = "subsequence"
 PREFIX = "prefix"
@@ -221,62 +221,71 @@ class SeparationResult:
     witness: Optional[Tower] = None
 
 
+def _superword(m: int, dfa, w):
+    """The one superword BFS: the shortlex-least word, as letter ids, of the
+    language of the minimal flat DFA ``dfa`` that has the letter ids ``w`` as
+    a subsequence, or None.  It walks the pairs (state, length of the prefix
+    of w matched greedily) from (0, 0), letters in alphabet order, and skips
+    moves into the sink.  The DFA is deterministic, so each pair is first
+    reached by its shortlex-least word, and the answer depends only on the
+    language."""
+    delta, finals = dfa[1], dfa[2]
+    sink = _sink(m, dfa)
+    goal = len(w)
+    width = goal + 1
+    if not goal and 0 in finals:
+        return []
+    back = {0: None}  # pair key state*width + matched -> (previous key, letter)
+    queue = [0]
+    for key in queue:  # grows while it is scanned
+        q, pos = divmod(key, width)
+        want = w[pos] if pos < goal else -1
+        base = q * m
+        for sym, t in enumerate(delta[base:base + m]):
+            if t == sink:
+                continue
+            matched = pos + (sym == want)
+            nxt = t * width + matched
+            if nxt in back:
+                continue
+            back[nxt] = (key, sym)
+            if matched == goal and t in finals:
+                word = []
+                while back[nxt] is not None:
+                    nxt, sym = back[nxt]
+                    word.append(sym)
+                return word[::-1]
+            queue.append(nxt)
+    return None
+
+
 def shortest_word(a: Automaton) -> Optional[Word]:
     """Shortlex-least accepted word, or None for the empty language."""
     return shortest_superword_in((), a)
 
 
 def shortest_superword_in(w: Sequence[str], a: Automaton) -> Optional[Word]:
-    """Shortlex-least word of L(a) that has w as a subsequence."""
-    from collections import deque
-
-    w = tuple(w)
-    fmask = a.final_mask
-    goal = len(w)
-    start = (a.initial_mask, 0)
-    if start[0] & fmask and goal == 0:
-        return ()
-    seen = {start}
-    queue = deque([(start, ())])
-    m = len(a.alphabet)
-    while queue:
-        (states, pos), word = queue.popleft()
-        for sym in range(m):
-            nxt = a.step(states, sym)
-            if not nxt:
-                continue
-            npos = pos + 1 if pos < goal and a.alphabet[sym] == w[pos] else pos
-            key = (nxt, npos)
-            if key in seen:
-                continue
-            w2 = word + (a.alphabet[sym],)
-            if npos == goal and nxt & fmask:
-                return w2
-            seen.add(key)
-            queue.append((key, w2))
-    return None
+    """Shortlex-least word of L(a) that has w as a subsequence; None also when
+    w uses a symbol outside a's alphabet."""
+    index = {name: sym for sym, name in enumerate(a.alphabet)}
+    word = _superword(len(a.alphabet), _minimal(a), [index.get(s, -1) for s in w])
+    return None if word is None else tuple(a.alphabet[sym] for sym in word)
 
 
-def materialize_witness(l_fix: Automaton, r_fix: Automaton, height: int) -> Tower:
-    """A finite prefix of the infinite tower living on a nonempty fixpoint:
-    start from the shortest left word, then alternately pick the shortest
-    superword on the other side."""
-    elements = []
-    if height <= 0:
-        return Tower(SUBSEQUENCE, ())
-    word = shortest_word(l_fix)
-    if word is None:
-        raise ValueError("fixpoint left language is empty")
-    elements.append((word, LEFT))
-    side = RIGHT
-    while len(elements) < height:
-        target = r_fix if side == RIGHT else l_fix
-        word = shortest_superword_in(word, target)
+def materialize_witness(alphabet, l_fix, r_fix, height: int) -> Tower:
+    """A finite prefix of the infinite tower living on a nonempty fixpoint,
+    given as the minimal flat DFAs of its two languages: start from the
+    shortest left word, then alternately pick the shortest superword on the
+    other side."""
+    words, fixpoint = [], (l_fix, r_fix)
+    while len(words) < height:
+        word = _superword(len(alphabet), fixpoint[len(words) % 2], words[-1] if words else [])
         if word is None:
-            raise ValueError("fixpoint pair is not mutually embeddable")
-        elements.append((word, side))
-        side = LEFT if side == RIGHT else RIGHT
-    return Tower(SUBSEQUENCE, tuple(elements))
+            raise ValueError("fixpoint pair is not mutually embeddable" if words
+                             else "fixpoint left language is empty")
+        words.append(word)
+    return Tower(SUBSEQUENCE, tuple((tuple(alphabet[sym] for sym in word), (LEFT, RIGHT)[i % 2])
+                                    for i, word in enumerate(words)))
 
 
 def decide_separability(
@@ -296,7 +305,10 @@ def decide_separability(
     chain = RefinementChain(left.alphabet, (_minimal(left, budget), _minimal(right, budget)))
     previous = chain.flat_originals
     for k in range(1, max_steps + 1):
-        lk, rk, downs = _refine(m, previous[1], *chain.flat_originals, budget)
+        try:
+            lk, rk, downs = _refine(m, previous[1], *chain.flat_originals, budget)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(f"{exc} at chain step {k}") from None
         chain.flat_steps.append((lk, rk))
         if with_separator:
             chain.downs.append(downs)
@@ -311,8 +323,7 @@ def decide_separability(
     if chain.verdict == "separable" and with_separator:
         result.separator = build_separator(chain, budget)
     elif chain.verdict == "infinite_tower" and witness_height > 0:
-        l_fix, r_fix = (_public(left.alphabet, d) for d in previous)
-        result.witness = materialize_witness(l_fix, r_fix, witness_height)
+        result.witness = materialize_witness(left.alphabet, *previous, witness_height)
     return result
 
 

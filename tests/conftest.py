@@ -1,12 +1,13 @@
 """Shared helpers: tiny automaton builders, seeded random instances, an
 independent Moore-style minimization used as an oracle for the fast path, and
 reference constructions (down-closure NFA, union, equivalence, self-loop
-letters, the alternation-graph prefix-tower height) that the package does not
-need."""
+letters, the alternation-graph prefix-tower height, the state-set superword
+search) that the package does not need."""
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from itertools import product as iter_product
 
 import pytest
@@ -263,6 +264,37 @@ def alternation_height(a, b, budget=None):
     for (i,) in comps:
         height[i] = 1 + max((height[j] for j in alt_adj[i]), default=0)
     return max(height)
+
+
+def shortest_superword(w, a):
+    """Reference for towers.shortest_superword_in: a breadth-first search over
+    (state set of a, length of the prefix of w matched greedily), letters in
+    alphabet order, straight on the NFA."""
+    w = tuple(w)
+    fmask = a.final_mask
+    goal = len(w)
+    start = (a.initial_mask, 0)
+    if start[0] & fmask and goal == 0:
+        return ()
+    seen = {start}
+    queue = deque([(start, ())])
+    m = len(a.alphabet)
+    while queue:
+        (states, pos), word = queue.popleft()
+        for sym in range(m):
+            nxt = a.step(states, sym)
+            if not nxt:
+                continue
+            npos = pos + 1 if pos < goal and a.alphabet[sym] == w[pos] else pos
+            key = (nxt, npos)
+            if key in seen:
+                continue
+            w2 = word + (a.alphabet[sym],)
+            if npos == goal and nxt & fmask:
+                return w2
+            seen.add(key)
+            queue.append((key, w2))
+    return None
 
 
 @pytest.fixture

@@ -331,6 +331,21 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "alphabet[1]" in err
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("lost")])
+def test_internal_error_exits_2_without_traceback(pair_files, capsys, monkeypatch, exc):
+    from ptsep import cli
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_analyze", broken)
+    assert main(["analyze", *pair_files, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
 def test_missing_file_exit_code(capsys):
     code = main(["pt-check", "/nonexistent/path.json"])
     assert code == 2

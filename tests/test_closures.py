@@ -8,13 +8,18 @@ import pytest
 from ptsep import (
     Automaton,
     BudgetExceeded,
+    automaton_to_dict,
+    decide_separability,
     determinize,
     down_determinize,
     gen_exp,
+    gen_quadratic,
     includes,
     is_empty,
     is_subsequence,
+    minimal_dfa,
 )
+from ptsep.automata import strongly_connected_components
 from conftest import (
     accepted_set,
     all_words,
@@ -124,6 +129,56 @@ def test_subset_construction_enforces_budget_on_both_routes():
         assert construct(nfa, budget=4).state_count == 4
         with pytest.raises(BudgetExceeded):
             construct(nfa, budget=3)
+
+
+def test_budget_errors_name_the_construction_and_the_chain_step():
+    nfa = Automaton(4, ("a", "b"), {0}, {3},
+                    {(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "a", 3)})
+    with pytest.raises(BudgetExceeded, match="^subset construction exceeded budget of 3 states$"):
+        determinize(nfa, budget=3)
+    with pytest.raises(BudgetExceeded,
+                       match="^down-closure subset construction exceeded budget of 3 states$"):
+        down_determinize(nfa, budget=3)
+    # quadratic(4): its NFA side takes 7 subsets, a down-closure of chain step 2 takes 15
+    inst = gen_quadratic(4)
+    with pytest.raises(BudgetExceeded, match="^subset construction exceeded budget of 4 states$"):
+        decide_separability(inst.left, inst.right, budget=4)
+    with pytest.raises(BudgetExceeded, match="^down-closure subset construction exceeded "
+                                             "budget of 7 states at chain step 2$"):
+        decide_separability(inst.left, inst.right, budget=7)
+
+
+def _closure_draw(rng):
+    """A random NFA, 1-7 states over 2-3 letters, with state ids shuffled and,
+    in half of the draws, a cycle of moves through two or more states."""
+    n = rng.randint(1, 7)
+    alphabet = ("a", "b", "c")[: rng.randint(2, 3)]
+    ids = list(range(n))
+    rng.shuffle(ids)
+    triples = {(rng.randrange(n), rng.choice(alphabet), rng.randrange(n))
+               for _ in range(rng.randint(0, 2 * n))}
+    if n > 1 and rng.random() < 0.5:
+        loop = ids[: rng.randint(2, n)]
+        triples |= {(s, rng.choice(alphabet), t) for s, t in zip(loop, loop[1:] + loop[:1])}
+    initials = {q for q in range(n) if rng.random() < 0.3} or {ids[0]}
+    finals = {q for q in range(n) if rng.random() < 0.3}
+    return Automaton(n, alphabet, initials, finals, triples)
+
+
+def test_down_determinize_matches_reference_closure():
+    # the closed-subset DFA has the language of the reference down-closure
+    # and never more states than the plain subset construction of it
+    rng = random.Random(9101)
+    cyclic = 0
+    for _ in range(600):
+        a = _closure_draw(rng)
+        silent = [[t for s, _, t in a.transitions if s == q] for q in range(a.state_count)]
+        cyclic += any(len(comp) > 1 for comp in strongly_connected_components(silent))
+        reference = down_closure(a)
+        closed = down_determinize(a)
+        assert automaton_to_dict(minimal_dfa(closed)) == automaton_to_dict(minimal_dfa(reference))
+        assert closed.state_count <= determinize(reference).state_count
+    assert cyclic >= 200
 
 
 def test_word_embeds_into_language():

@@ -30,9 +30,19 @@ from ptsep import (
     upper_bound_height,
     verify_tower,
 )
+from ptsep.automata import _minimal
 from ptsep.families import Circuit, Gate
 from ptsep.towers import materialize_witness, shortest_superword_in, shortest_word
-from conftest import empty_language, equivalent, literal, random_nfa, sigma_star, union
+from conftest import (
+    empty_language,
+    equivalent,
+    literal,
+    random_complete_dfa,
+    random_nfa,
+    shortest_superword,
+    sigma_star,
+    union,
+)
 
 
 def chain_pair(alphabet=("a", "b")):
@@ -264,14 +274,36 @@ def test_witness_helpers():
     assert shortest_word(empty_language(("a",))) is None
     # shortest word of Sigma*b embedding a1: a1b
     assert shortest_superword_in(("a1",), inst.right) == ("a1", "b")
-    assert shortest_superword_in(("b",), inst.left) is None or True  # see below
+    # the left language is eps + b*a1, so the shortest word embedding b is ba1
+    assert shortest_superword_in(("b",), inst.left) == ("b", "a1")
     # eps is its own shortest superword in a language containing eps
     assert shortest_superword_in((), inst.left) == ()
 
 
+def test_shortest_superword_matches_state_set_reference():
+    rng = random.Random(9102)
+    found = missing = empty = 0
+    for i in range(400):
+        alphabet = ("a", "b", "c")[: rng.randint(2, 3)]
+        if i % 20 == 0:
+            a = empty_language(alphabet)
+        elif i % 4 == 1:
+            a = random_complete_dfa(rng, max_states=4, alphabet=alphabet)
+        else:
+            a = random_nfa(rng, max_states=5, alphabet=alphabet, density=0.3)
+        w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+        got = shortest_superword_in(w, a)
+        assert got == shortest_superword(w, a), (a, w)
+        assert shortest_word(a) == shortest_superword((), a)
+        empty += got is None and shortest_word(a) is None
+        missing += got is None and shortest_word(a) is not None
+        found += got is not None
+    assert found >= 150 and missing >= 30 and empty >= 20
+
+
 def test_materialize_witness_alternates():
     a, b = chain_pair()
-    tower = materialize_witness(a, b, 5)
+    tower = materialize_witness(a.alphabet, _minimal(a), _minimal(b), 5)
     assert tower.height == 5
     assert verify_tower(a, b, tower)
     sides = [side for _, side in tower.elements]
