@@ -10,10 +10,16 @@ Partial transition functions are allowed in stored automata; completion with
 an explicit sink happens inside :func:`determinize`, :func:`complement` and
 :func:`minimal_dfa`.
 
-The constructions run on one flat form, a complete DFA ``(n, delta, finals)``
-over m letters with initial state 0: ``delta[q*m + sym]`` is the target of q
-under sym.  The subset construction returns it and the minimization, product
-and trim kernels take it, so the refinement chain runs on it end to end.
+The constructions run on one flat form, a partial DFA ``(n, succ, finals)``
+with initial state 0: ``succ[q]`` maps each letter with a move from q to its
+target, and there is no sink.  A missing move leads out of the language.
+Chain languages are held as canonical minimal flat DFAs: trim, numbered by a
+BFS from 0 with letters in alphabet order, each row listing its letters in
+that order, and ``n == 0`` for the empty language.  The subset construction
+returns the flat form, and the minimization and the product take it, so their
+cost follows the live moves, not states times letters.  :func:`_completed`
+builds the complete table, with its sink, only where a caller needs it:
+:class:`Automaton` output, complements, prefix heights and the PT test.
 :class:`Automaton` validates every field and is built only at the boundary,
 by the public functions and by :func:`automaton_from_dict`.
 """
@@ -36,6 +42,8 @@ from .errors import (
 Word = tuple  # tuple of symbol names
 
 DEFAULT_BUDGET = 1 << 20
+
+EMPTY = (0, [], frozenset())  # the flat DFA of the empty language
 
 
 def bits(mask: int):
@@ -285,64 +293,106 @@ def trim(a: Automaton) -> Automaton:
     return Automaton(len(order), a.alphabet, initials, finals, transitions, deterministic)
 
 
-def _sink(m: int, dfa):
-    """The state of empty language of a minimal flat DFA, or None.  It is
-    unique, nonfinal and loops on every letter."""
-    n, delta, finals = dfa
-    for q in range(n):
-        base = q * m
-        if delta[base] == q and q not in finals and delta[base:base + m].count(q) == m:
-            return q
-    return None
-
-
-def _trim_rows(m: int, dfa):
-    """The trim kernel for a minimal flat DFA: its successor rows (see
-    :func:`_rows`) without moves into the sink, and the start mask of the
-    trimmed automaton, 0 when the language is empty."""
-    sink = _sink(m, dfa)
-    return [() if t == sink else (t,) for t in dfa[1]], int(sink != 0)
-
-
 def is_empty(a: Automaton) -> bool:
     return not trim(a).finals
+
+
+# ---------------------------------------------------------------------------
+# the flat form and its boundary
+
+
+def _moves(a: Automaton) -> list:
+    """``moves[q]`` lists the (letter, target) pairs of q's moves.  The
+    kernels read a flat DFA's moves as ``succ[q].items()``."""
+    moves = [[] for _ in range(a.state_count)]
+    for src, sym, dst in a.transitions:
+        moves[src].append((sym, dst))
+    return moves
+
+
+def _rows(moves) -> list:
+    """Successor rows: ``rows[q]`` maps each letter of the (letter, target)
+    moves ``moves[q]`` to the list of its targets."""
+    rows = [{} for _ in moves]
+    for row, pairs in zip(rows, moves):
+        for sym, t in pairs:
+            row.setdefault(sym, []).append(t)
+    return rows
+
+
+def _flat(d: Automaton):
+    """The flat form of a deterministic automaton in its own numbering."""
+    return d.state_count, [dict(pairs) for pairs in _moves(d)], d.finals
+
+
+def _completed(m: int, dfa):
+    """The complete form of a flat DFA numbered by a BFS from 0 with letters
+    in alphabet order: the sink is inserted where that BFS first meets a
+    missing move, and every missing move leads to it.  On a canonical
+    minimal DFA this gives the canonical minimal complete DFA.  No other
+    flat-form code builds a sink; :func:`complete` adds one to an
+    :class:`Automaton` in the caller's numbering."""
+    n, succ, finals = dfa
+    sink, top = (None, 0) if n else (0, -1)  # states 0..top are met
+    for row in succ:
+        if len(row) == m:
+            top = max(top, *row.values())
+            continue
+        sym = 0
+        while sym in row:
+            top = max(top, row[sym])
+            sym += 1
+        sink = top + 1
+        break
+    if sink is None:
+        return dfa
+    full = [dict.fromkeys(range(m), sink) for _ in range(n + 1)]
+    for q, row in enumerate(succ):
+        full[q + (q >= sink)].update({sym: t + (t >= sink) for sym, t in row.items()})
+    return n + 1, full, {q + (q >= sink) for q in finals}
+
+
+def _automaton(alphabet, dfa) -> Automaton:
+    """The public, validated form of a flat DFA: complete, numbered as in
+    :func:`_completed`."""
+    n, succ, finals = _completed(len(alphabet), dfa)
+    return Automaton(n, alphabet, {0}, finals,
+                     [(q, sym, t) for q, row in enumerate(succ) for sym, t in row.items()],
+                     True)
 
 
 # ---------------------------------------------------------------------------
 # product and boolean operations
 
 
-def _rows(a: Automaton) -> list:
-    """Successor rows: ``rows[q*m + sym]`` holds the targets of q under sym."""
-    m = len(a.alphabet)
-    rows = [()] * (a.state_count * m)
-    for src, sym, dst in a.transitions:
-        rows[src * m + sym] += (dst,)
-    return rows
-
-
-def _product(rows_a, rows_b, nb: int, m: int, starts, finals_a, finals_b):
+def _product(moves_a, rows_b, nb: int, starts, finals_a, finals_b):
     """The one product construction: the part of the synchronized product
     that one common word reaches from a start pair, for two automata given by
-    their successor rows (see :func:`_rows`).  Pair (p, q) has key p*nb + q.
-    Returns (keys, moves, finals): the reached keys in ascending order, the
-    moves as (source, symbol, target) triples over positions in ``keys``, and
-    the positions where both sides accept."""
+    the moves of the left one (see :func:`_moves`) and the successor rows of
+    the right one (see :func:`_rows`).  It follows the left moves whose
+    letter moves on the right too, so its cost is the live moves it meets.
+    Pair (p, q) has key p*nb + q.  Returns (keys, moves, finals): the
+    reached keys in ascending order, the moves as (source, symbol, target)
+    triples over positions in ``keys``, and the positions where both sides
+    accept."""
     seen = set(starts)
     stack = list(seen)
     edges = []
     while stack:
         key = stack.pop()
         p, q = divmod(key, nb)
-        pa, qb = p * m, q * m
-        for sym in range(m):
-            for ta in rows_a[pa + sym]:
-                for tb in rows_b[qb + sym]:
-                    dst = ta * nb + tb
-                    edges.append((key, sym, dst))
-                    if dst not in seen:
-                        seen.add(dst)
-                        stack.append(dst)
+        row_b = rows_b[q]
+        for sym, ta in moves_a[p]:
+            targets_b = row_b.get(sym)
+            if targets_b is None:
+                continue
+            base = ta * nb
+            for tb in targets_b:
+                dst = base + tb
+                edges.append((key, sym, dst))
+                if dst not in seen:
+                    seen.add(dst)
+                    stack.append(dst)
     keys = sorted(seen)
     index = {key: i for i, key in enumerate(keys)}
     moves = [(index[s], sym, index[t]) for s, sym, t in edges]
@@ -360,41 +410,35 @@ def intersection(a: Automaton, b: Automaton) -> Automaton:
     _require_same_alphabet(a, b)
     nb = b.state_count
     starts = {p * nb + q for p in a.initials for q in b.initials}
-    keys, moves, finals = _product(_rows(a), _rows(b), nb, len(a.alphabet), starts,
-                                   a.finals, b.finals)
+    keys, moves, finals = _product(_moves(a), _rows(_moves(b)), nb, starts, a.finals, b.finals)
     return Automaton(len(keys), a.alphabet, {bisect_left(keys, key) for key in starts},
                      finals, moves, a.deterministic and b.deterministic)
 
 
-def _complete(n: int, m: int, transitions):
-    """(states, delta) of a deterministic transition relation on n states,
-    completed by a sink, state n, added only when some move is missing."""
-    delta = [n] * (n * m)
-    for src, sym, dst in transitions:
-        delta[src * m + sym] = dst
-    if not n or n in delta:
-        delta += [n] * m
-        n += 1
-    return n, delta
-
-
-def _automaton(alphabet, dfa) -> Automaton:
-    """The public, validated form of a flat DFA."""
-    m = len(alphabet)
-    return Automaton(dfa[0], alphabet, {0}, dfa[2],
-                     [(i // m, i % m, t) for i, t in enumerate(dfa[1])], True)
+def _meet(a, b):
+    """Canonical minimal flat DFA of L(a) n L(b) for two flat DFAs."""
+    if not (a[0] and b[0]):
+        return EMPTY
+    keys, moves, finals = _product([row.items() for row in a[1]],
+                                   _rows([row.items() for row in b[1]]), b[0], (0,), a[2], b[2])
+    succ = [{} for _ in keys]
+    for src, sym, dst in moves:
+        succ[src][sym] = dst
+    return _minimize((len(keys), succ, finals))
 
 
 def complete(d: Automaton) -> Automaton:
-    """Make a deterministic automaton complete by adding an explicit sink."""
+    """Make a deterministic automaton complete by adding an explicit sink,
+    state ``state_count``, when some move is missing."""
     if not d.deterministic and d.state_count > 0:
         raise NotDeterministic("complete() expects a deterministic automaton")
-    m = len(d.alphabet)
-    n, delta = _complete(d.state_count, m, d.transitions)
-    if n == d.state_count:
+    m, n = len(d.alphabet), d.state_count
+    succ = _flat(d)[1]
+    missing = [(q, sym, n) for q in range(n) for sym in range(m) if sym not in succ[q]]
+    if n and not missing:
         return d
-    return Automaton(n, d.alphabet, d.initials or {n - 1}, d.finals,
-                     [(i // m, i % m, t) for i, t in enumerate(delta)], True)
+    return Automaton(n + 1, d.alphabet, d.initials or {n}, d.finals,
+                     [*d.transitions, *missing, *((n, sym, n) for sym in range(m))], True)
 
 
 def complement(d: Automaton) -> Automaton:
@@ -404,130 +448,151 @@ def complement(d: Automaton) -> Automaton:
     return Automaton(d.state_count, d.alphabet, d.initials, finals, d.transitions, True)
 
 
-def _complement(dfa):
-    return dfa[0], dfa[1], set(range(dfa[0])) - dfa[2]
+def _complement(m: int, dfa):
+    """The complement of a flat DFA, on its complete form."""
+    n, succ, finals = _completed(m, dfa)
+    return n, succ, set(range(n)) - finals
 
 
-def _subset_construction(move, start_mask: int, final_mask: int,
+def _subset_construction(m: int, move, start_mask: int, final_mask: int,
                          budget: Optional[int], cover=None):
-    """The one subset construction.  ``move[sym][q]`` is the target mask of
-    state q under sym; a subset is final when it meets ``final_mask``.  The
-    result is the flat DFA over the explored subsets, numbered in BFS order
-    (the empty subset, when reached, is the sink); more than ``budget``
+    """The one subset construction.  ``move[q]`` maps each letter with a move
+    from state q to its nonzero target mask; a subset is final when it meets
+    ``final_mask``.  The result is the flat DFA over the nonempty explored
+    subsets, numbered in BFS order with letters in alphabet order.  The
+    empty subset is no state, but it counts towards the budget once some
+    subset lacks a move on one of the m letters: more than ``budget``
     subsets (:data:`DEFAULT_BUDGET` when None) raise BudgetExceeded.
 
-    A subset moves to the OR of ``move[sym]`` over its members or, given a
+    A subset moves to the OR of ``move`` over its members or, given a
     ``cover`` table, over picks only: pick the lowest member q left, strike
     ``cover[q]``, repeat.  In the closure machine's closed tables
-    ``move[sym][q']`` lies inside ``move[sym][q]`` for q' in ``cover[q]``,
-    and every member is a pick or in a pick's cover, so the picks' OR is the
-    members' OR (see :mod:`ptsep.closures`)."""
+    ``move[q']`` lies inside ``move[q]`` for q' in ``cover[q]``, letter by
+    letter, and every member is a pick or in a pick's cover, so the picks'
+    OR is the members' OR (see :mod:`ptsep.closures`)."""
     budget = DEFAULT_BUDGET if budget is None else budget
     what = "subset construction" if cover is None else "down-closure subset construction"
-    cover = [1 << q for q in range(len(move[0]))] if cover is None else cover
+    if not start_mask:
+        return EMPTY
+    cover = [1 << q for q in range(len(move))] if cover is None else cover
     index = {start_mask: 0}
     subsets = [start_mask]
-    delta = []
+    succ = []
+    empty = 0  # 1 once the empty subset is reached
     for current in subsets:  # grows while it is scanned
-        picks, rest = [], current
-        while rest:
-            q = (rest & -rest).bit_length() - 1
-            picks.append(q)
-            rest &= ~cover[q]
-        for row in move:
-            target = 0
-            for q in picks:
-                target |= row[q]
+        q = (current & -current).bit_length() - 1
+        targets = move[q]
+        rest = current & ~cover[q]
+        if rest:
+            targets = dict(targets)
+            while rest:
+                q = (rest & -rest).bit_length() - 1
+                rest &= ~cover[q]
+                for sym, mask in move[q].items():
+                    targets[sym] = targets.get(sym, 0) | mask
+        if len(targets) < m and not empty:
+            if len(subsets) >= budget:
+                raise BudgetExceeded(f"{what} exceeded budget of {budget} states")
+            empty = 1
+        row = {}
+        for sym in sorted(targets):
+            target = targets[sym]
             dst = index.get(target)
             if dst is None:
-                if len(subsets) >= budget:
+                if len(subsets) + empty >= budget:
                     raise BudgetExceeded(f"{what} exceeded budget of {budget} states")
                 dst = index[target] = len(subsets)
                 subsets.append(target)
-            delta.append(dst)
-    return len(subsets), delta, {i for i, s in enumerate(subsets) if s & final_mask}
+            row[sym] = dst
+        succ.append(row)
+    return len(subsets), succ, {i for i, s in enumerate(subsets) if s & final_mask}
+
+
+def _subsets(a: Automaton, budget: Optional[int]):
+    """The flat DFA of the subset construction on a's own moves."""
+    move = [{sym: mask_of(ts) for sym, ts in row.items()} for row in _rows(_moves(a))]
+    return _subset_construction(len(a.alphabet), move, a.initial_mask, a.final_mask, budget)
 
 
 def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
     """Subset construction; the result is a complete DFA with one state per
     reachable subset of source states (the empty subset is the sink)."""
-    return _automaton(a.alphabet, _subset_construction(
-        a.move_masks(), a.initial_mask, a.final_mask, budget))
+    return _automaton(a.alphabet, _subsets(a, budget))
 
 
-def _hopcroft_blocks(n, m, delta, finals):
-    """Hopcroft partition refinement on a complete flat DFA.  Returns the
-    block id of every state.  Inverse moves are stored per letter for the
-    targets that have predecessors, and a block is queued as a splitter only
-    under the letters that lead into it: any other splits nothing."""
-    block_of = [int(q not in finals) for q in range(n)]
-    blocks = [set(), set()]
-    for q, bid in enumerate(block_of):
-        blocks[bid].add(q)
-    if not all(blocks):
-        return block_of
-    inv = []
-    into = [0] * n  # mask of the letters that lead into each state
-    for sym in range(m):
-        rows = defaultdict(list)
-        for q, t in enumerate(delta[sym::m]):
-            rows[t].append(q)
-        for t in rows:
-            into[t] |= 1 << sym
-        inv.append(rows)
-    work = []
+def _minimize(dfa, start: int = 0):
+    """The one minimization: the canonical minimal flat DFA of the language
+    of state ``start`` of a flat DFA whose states need not be reachable or
+    lie on an accepting path.
 
-    def push(block):
-        letters = 0
-        for t in block:
-            letters |= into[t]
-        splitter = tuple(block)
-        work.extend((splitter, sym) for sym in bits(letters))
-
-    push(min(blocks, key=len))
+    Hopcroft refinement on the partial transition function (Valmari and
+    Lehtinen, STACS 2008): states that reach no final state are dropped,
+    together with the moves into them, and the rest start in two blocks,
+    final and nonfinal.  Both are queued as splitters, because a missing
+    move is no move into the other block.  Then a block that splits queues
+    its smaller half, as in the complete case.  A splitter is read through
+    the inverse of the live moves, grouped by letter, so a pass costs the
+    moves into the splitter.  Blocks are numbered in BFS order from the
+    block of ``start``, letters in alphabet order, so language-equal inputs
+    give identical output."""
+    n, succ, finals = dfa
+    if not n:
+        return EMPTY
+    pred = [[] for _ in range(n)]  # pred[t]: the (letter, source) pairs of the moves into t
+    for q, row in enumerate(succ):
+        for sym, t in row.items():
+            pred[t].append((sym, q))
+    block_of = [-1] * n  # -1: no final state is reachable
+    stack = list(finals)
+    for q in stack:
+        block_of[q] = 0
+    while stack:
+        for _, q in pred[stack.pop()]:
+            if block_of[q] < 0:
+                block_of[q] = 1
+                stack.append(q)
+    if block_of[start] < 0:
+        return EMPTY
+    blocks = [set(finals), {q for q, b in enumerate(block_of) if b == 1}]
+    work = [tuple(block) for block in blocks if block]
     while work:
-        splitter, sym = work.pop()
-        rows = inv[sym]
-        touched = defaultdict(list)  # a DFA: the preimages are disjoint
-        for t in splitter:
-            for q in rows.get(t, ()):
+        by_letter = defaultdict(list)  # a DFA: each list holds a source once
+        for t in work.pop():
+            for sym, q in pred[t]:
+                by_letter[sym].append(q)
+        for sources in by_letter.values():
+            touched = defaultdict(list)
+            for q in sources:
                 touched[block_of[q]].append(q)
-        for bid, inside in touched.items():
-            block = blocks[bid]
-            if len(inside) == len(block):
-                continue
-            if 2 * len(inside) > len(block):
-                inside = block.difference(inside)
-            block.difference_update(inside)
-            new_bid = len(blocks)
-            blocks.append(set(inside))
-            for q in inside:
-                block_of[q] = new_bid
-            push(inside)
-    return block_of
-
-
-def _minimize(m: int, dfa, start: int = 0):
-    """Minimal form of a complete flat DFA via Hopcroft refinement,
-    canonically numbered: blocks get ids in BFS order from the block of
-    ``start``, letters in alphabet order, so language-equal inputs give
-    identical output.  Blocks of unreachable states are never visited.  The
-    sink counts as a state whenever it is reachable."""
-    n, delta, finals = dfa
-    block_of = _hopcroft_blocks(n, m, delta, finals)
+            for bid, inside in touched.items():
+                block = blocks[bid]
+                if len(inside) == len(block):
+                    continue
+                if 2 * len(inside) > len(block):
+                    inside = block.difference(inside)
+                block.difference_update(inside)
+                new_bid = len(blocks)
+                blocks.append(set(inside))
+                for q in inside:
+                    block_of[q] = new_bid
+                work.append(tuple(inside))
     repr_of = {block: q for q, block in enumerate(block_of)}
     order = [block_of[start]]
     number = {order[0]: 0}
     out = []
     for block in order:  # order grows while it is scanned
-        base = repr_of[block] * m
-        for t in delta[base:base + m]:
-            target = block_of[t]
+        row = succ[repr_of[block]]
+        moves = {}
+        for sym in sorted(row):
+            target = block_of[row[sym]]
+            if target < 0:
+                continue
             dst = number.get(target)
             if dst is None:
                 dst = number[target] = len(order)
                 order.append(target)
-            out.append(dst)
+            moves[sym] = dst
+        out.append(moves)
     final_blocks = {block_of[q] for q in finals}
     return len(order), out, {i for i, block in enumerate(order) if block in final_blocks}
 
@@ -536,17 +601,14 @@ def _minimal(a: Automaton, budget: Optional[int] = None):
     """The canonical minimal flat DFA of L(a): trim, then the subset
     construction only when the input is nondeterministic, then minimize."""
     a = trim(a)
-    m = len(a.alphabet)
     if not a.deterministic:
-        return _minimize(m, _subset_construction(
-            a.move_masks(), a.initial_mask, a.final_mask, budget))
-    n, delta = _complete(a.state_count, m, a.transitions)
-    return _minimize(m, (n, delta, a.finals), min(a.initials))
+        return _minimize(_subsets(a, budget))
+    return _minimize(_flat(a), min(a.initials))
 
 
 def minimal_dfa(a: Automaton, budget: Optional[int] = None) -> Automaton:
     """The canonical minimal complete DFA of L(a), numbered as in
-    :func:`_minimize`."""
+    :func:`_completed`."""
     return _automaton(a.alphabet, _minimal(a, budget))
 
 

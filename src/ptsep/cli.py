@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from . import families, oracles, prefixes, ptcheck, towers
 from .automata import (
+    _completed,
     _minimal,
     automaton_from_dict,
     automaton_to_dict,
@@ -155,20 +156,20 @@ def cmd_prefix_analyze(args) -> int:
     with _timer(report, "pattern"):
         pattern = prefixes.find_pattern(left, right)
     report.data["pattern_found"] = pattern is not None
-    dfas = [_minimal(x, args.budget) for x in (left, right)]
+    dfas = [_completed(len(left.alphabet), _minimal(x, args.budget)) for x in (left, right)]
     if pattern is not None:
         report.data["pattern"] = pattern.to_dict()
         report.data["height"] = "infinite"
     else:
         with _timer(report, "height"):
-            height = prefixes._flat_height(len(left.alphabet), *dfas)
+            height = prefixes._flat_height(*dfas)
         report.data["height"] = int(height)
     m, n = (d[0] for d in dfas)
     report.data["bounds"] = {
         "minimal_dfa_states": [m, n],
         "dfa_pair_bound": (m * n) // 2,
         "product_states": m * n,
-        "nfa_bound": 2 ** (left.state_count + right.state_count - 1),
+        "nfa_bound": 2 ** max(left.state_count + right.state_count - 1, 0),
     }
     _emit(report, args)
     return 0 if pattern is not None else 1
@@ -332,6 +333,13 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; argparse names the option on error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptsep",
@@ -342,14 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_count, default=None,
                        help="states per subset construction (default: 2^20)")
 
     p = sub.add_parser("analyze", help="decide separability and build a separator")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-steps", type=int, default=512)
-    p.add_argument("--witness-height", type=int, default=3)
+    p.add_argument("--max-steps", type=_count, default=512)
+    p.add_argument("--witness-height", type=_count, default=3)
     p.add_argument("--out", default=None, help="write the separator automaton here")
     common(p)
     p.set_defaults(func=cmd_analyze)
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("enumerate")
     q.add_argument("automaton")
     q.add_argument("--max-len", type=int, required=True)
-    q.add_argument("--budget", type=int, default=None)
+    q.add_argument("--budget", type=_count, default=None)
     q.set_defaults(func=cmd_oracle)
     q = osub.add_parser("tower")
     q.add_argument("left")
@@ -406,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--relation", choices=["subsequence", "prefix"],
                    default="subsequence")
     q.add_argument("--max-len", type=int, required=True)
-    q.add_argument("--budget", type=int, default=None)
+    q.add_argument("--budget", type=_count, default=None)
     q.set_defaults(func=cmd_oracle)
     q = osub.add_parser("reach")
     q.add_argument("graph")

@@ -36,7 +36,9 @@ from typing import Optional
 from .automata import (
     Automaton,
     Word,
+    _completed,
     _minimal,
+    _moves,
     _product,
     _require_same_alphabet,
     _rows,
@@ -98,8 +100,7 @@ def _reachable_product(a: Automaton, b: Automaton):
     _require_same_alphabet(a, b)
     nb = b.state_count
     starts = {p * nb + q for p in a.initials for q in b.initials}
-    keys, moves, finals = _product(_rows(a), _rows(b), nb, len(a.alphabet), starts,
-                                   a.finals, b.finals)
+    keys, moves, finals = _product(_moves(a), _rows(_moves(b)), nb, starts, a.finals, b.finals)
     if finals:
         raise ValueError("languages must be disjoint")
     adj = [[] for _ in keys]
@@ -244,17 +245,20 @@ def max_prefix_tower_height(a: Automaton, b: Automaton, budget=None):
     """Exact maximal height of a finite tower of prefixes between disjoint
     languages, or ``math.inf`` when an infinite one exists.  A height is a
     property of the languages, so it is measured on the canonical minimal
-    DFAs of the inputs (:func:`~ptsep.automata._minimal`)."""
+    DFAs of the inputs (:func:`~ptsep.automata._minimal`), completed."""
     _require_same_alphabet(a, b)
-    return _flat_height(len(a.alphabet), _minimal(a, budget), _minimal(b, budget))
+    m = len(a.alphabet)
+    return _flat_height(_completed(m, _minimal(a, budget)), _completed(m, _minimal(b, budget)))
 
 
-def _flat_height(m: int, da, db):
-    """The height kernel on two complete flat DFAs over m letters: one pass
-    over the condensation of their reachable product (module docstring)."""
-    (_, delta_a, finals_a), (nb, delta_b, finals_b) = da, db
-    keys, moves, both = _product([(t,) for t in delta_a], [(t,) for t in delta_b],
-                                 nb, m, (0,), finals_a, finals_b)
+def _flat_height(da, db):
+    """The height kernel on two complete flat DFAs (see
+    :func:`~ptsep.automata._completed`): one pass over the condensation of
+    their reachable product (module docstring)."""
+    (_, succ_a, finals_a), (nb, succ_b, finals_b) = da, db
+    keys, moves, both = _product([row.items() for row in succ_a],
+                                 _rows([row.items() for row in succ_b]), nb, (0,),
+                                 finals_a, finals_b)
     if both:
         raise ValueError("languages must be disjoint")
     succ = [[] for _ in keys]

@@ -14,9 +14,11 @@ from typing import Optional
 
 from .automata import (
     Automaton,
-    _complete,
+    _completed,
+    _flat,
     _minimal,
     bits,
+    complete,
     fold_reachable,
     mask_of,
     strongly_connected_components,
@@ -35,31 +37,30 @@ def pt_violation(d: Automaton) -> Optional[tuple]:
     """
     if not d.deterministic:
         raise NotDeterministic("piecewise testability test expects a DFA")
-    m = len(d.alphabet)
-    n, delta = _complete(d.state_count, m, d.transitions)
-    minimal = _minimal(d)[0]
+    n, succ, _ = _flat(complete(d))
+    minimal = _completed(len(d.alphabet), _minimal(d))[0]
     if minimal != n:
         raise NotMinimal(f"automaton has {n} states but its minimal DFA has {minimal}")
-    return _violation(m, delta)
+    return _violation(succ)
 
 
 def language_pt_violation(a: Automaton, budget=None) -> Optional[tuple]:
     """:func:`pt_violation` of the minimal DFA of L(a), which is built once:
     a DFA input reaches it without the subset construction."""
-    return _violation(len(a.alphabet), _minimal(a, budget)[1])
+    return _violation(_completed(len(a.alphabet), _minimal(a, budget))[1])
 
 
-def _violation(m: int, delta) -> Optional[tuple]:
-    """The test itself, on the flat table of a minimal complete DFA."""
-    n = len(delta) // m
-    rows = [delta[q * m:q * m + m] for q in range(n)]
-    adj = [sorted(set(row) - {q}) for q, row in enumerate(rows)]
+def _violation(rows) -> Optional[tuple]:
+    """The test itself, on the rows of a minimal complete flat DFA (see
+    :func:`~ptsep.automata._completed`)."""
+    n = len(rows)
+    adj = [sorted(set(row.values()) - {q}) for q, row in enumerate(rows)]
     for comp in strongly_connected_components(adj):
         if len(comp) > 1:
             return ("cycle", tuple(sorted(comp)))
 
     # bitmask of self-looping symbols per state
-    loops = [mask_of(sym for sym, t in enumerate(row) if t == q) for q, row in enumerate(rows)]
+    loops = [mask_of(sym for sym, t in row.items() if t == q) for q, row in enumerate(rows)]
 
     # ancestor masks per restriction alphabet, computed once per distinct mask
     ancestors_cache = {}
@@ -71,8 +72,8 @@ def _violation(m: int, delta) -> Optional[tuple]:
             # gamma-restricted graph
             radj = [[] for _ in range(n)]
             for sym in bits(gamma):
-                for s in range(n):
-                    radj[delta[s * m + sym]].append(s)
+                for s, row in enumerate(rows):
+                    radj[row[sym]].append(s)
             (anc,) = fold_reachable(radj, [[1 << q for q in range(n)]])
             ancestors_cache[gamma] = anc
         return anc

@@ -13,6 +13,7 @@ same down-closures that define the chain.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -22,14 +23,11 @@ from .automata import (
     Word,
     _automaton,
     _complement,
-    _complete,
+    _flat,
+    _meet,
     _minimal,
     _minimize,
-    _product,
-    _sink,
-    _trim_rows,
     mask_of,
-    trim,
 )
 from .closures import _down_subsets, is_prefix, is_subsequence
 from .errors import AlphabetMismatch, BudgetExceeded, SchemaError
@@ -132,38 +130,45 @@ def upper_bound_height(n: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 # the refinement chain
 #
-# Chain languages are canonical minimal flat DFAs (see ptsep.automata), so
-# two of them are language-equal iff they are equal as tuples, and a
-# language is empty iff it has no final state.
+# Chain languages are canonical minimal flat DFAs (see ptsep.automata): trim,
+# without a sink, so every kernel of a step costs the live moves.  Two of
+# them are language-equal iff they are equal as tuples, and a language is
+# empty iff it has no state.
 
 
-def _public(alphabet, dfa) -> Automaton:
+def _record(dfa):
+    """A chain language as the chain keeps it: (n, lengths, letters, targets,
+    finals), its moves row by row in arrays.  A dict row takes over 200
+    bytes, and the chain keeps every step."""
+    n, succ, finals = dfa
+    letters, targets = array("i"), array("i")
+    for row in succ:
+        letters.extend(row)
+        targets.extend(row.values())
+    return n, array("i", map(len, succ)), letters, targets, finals
+
+
+def _public(alphabet, record) -> Automaton:
     """The trimmed minimal automaton of a chain language."""
-    return trim(_automaton(alphabet, dfa))
+    n, lengths, letters, targets, finals = record
+    states = [q for q, k in enumerate(lengths) for _ in range(k)]
+    return Automaton(n, alphabet, {0} if n else (), finals, zip(states, letters, targets), bool(n))
 
 
 def _down(m: int, dfa, budget=None):
-    """Minimal flat DFA of down(L) from the minimal flat DFA of L, trimmed
-    first, so its sink never enters a subset."""
-    rows, start = _trim_rows(m, dfa)
-    return _minimize(m, _down_subsets(rows, m, mask_of(dfa[2]), start, budget))
-
-
-def _meet(m: int, a, b):
-    """Minimal flat DFA of L(a) n L(b) for a minimal flat DFA a and a
-    complete one b; the product follows a's trimmed moves."""
-    rows_a = _trim_rows(m, a)[0]
-    keys, moves, finals = _product(rows_a, [(t,) for t in b[1]], b[0], m, (0,), a[2], b[2])
-    return _minimize(m, (*_complete(len(keys), m, moves), finals))
+    """Canonical minimal flat DFA of down(L) from that of L."""
+    n, succ, finals = dfa
+    return _minimize(_down_subsets([row.items() for row in succ], m, mask_of(finals), int(n > 0),
+                                   budget))
 
 
 def _refine(m: int, r_prev, l0, r0, budget=None):
     """One chain step on flat DFAs: (L_k, R_k) and the two down DFAs it
     built, down(R_{k-1}) and down(L_k)."""
     down_r = _down(m, r_prev, budget)
-    lk = _meet(m, l0, down_r)
+    lk = _meet(l0, down_r)
     down_l = _down(m, lk, budget)
-    return lk, _meet(m, r0, down_l), (down_r, down_l)
+    return lk, _meet(r0, down_l), (down_r, down_l)
 
 
 def refine_step(r_prev: Automaton, l0: Automaton, r0: Automaton, budget=None):
@@ -174,14 +179,18 @@ def refine_step(r_prev: Automaton, l0: Automaton, r0: Automaton, budget=None):
             raise AlphabetMismatch("refine_step needs one shared alphabet")
     lk, rk, _ = _refine(len(l0.alphabet), *(_minimal(x, budget) for x in (r_prev, l0, r0)),
                         budget)
-    return _public(l0.alphabet, lk), _public(l0.alphabet, rk)
+    return _public(l0.alphabet, _record(lk)), _public(l0.alphabet, _record(rk))
 
 
 class RefinementChain:
     """The decreasing sequence (L_k, R_k) with its verdict.
 
-    Every language is held as its canonical minimal flat DFA.  ``originals``
-    and ``steps`` give them as trimmed minimal automata, built when read.
+    The originals are held as canonical minimal flat DFAs, trim and without
+    a sink (see :mod:`ptsep.automata`), in ``flat_originals``; the steps'
+    DFAs are kept in ``flat_steps`` as compact records (see
+    :func:`_record`).  ``originals`` and ``steps`` give them as trimmed
+    minimal automata, built when read; their state counts are the flat
+    DFAs' n.
     ``downs[k-1]`` holds the minimal DFAs of down(R_{k-1}) and down(L_k)
     when the chain was run for a separator, and is empty otherwise.
     """
@@ -196,7 +205,7 @@ class RefinementChain:
 
     @cached_property
     def originals(self):
-        return tuple(_public(self.alphabet, d) for d in self.flat_originals)
+        return tuple(_public(self.alphabet, _record(d)) for d in self.flat_originals)
 
     @cached_property
     def steps(self):
@@ -204,12 +213,11 @@ class RefinementChain:
 
     def to_dict(self) -> dict:
         """Verdict and the trimmed state counts of every step."""
-        m = len(self.alphabet)
-        counts = [[d[0] - (_sink(m, d) is not None) for d in step] for step in self.flat_steps]
         return {
             "verdict": self.verdict,
             "b_index": self.b_index,
-            "steps": [{"left_states": l, "right_states": r} for l, r in counts],
+            "steps": [{"left_states": lk[0], "right_states": rk[0]}
+                      for lk, rk in self.flat_steps],
         }
 
 
@@ -221,18 +229,19 @@ class SeparationResult:
     witness: Optional[Tower] = None
 
 
-def _superword(m: int, dfa, w):
+def _superword(dfa, w):
     """The one superword BFS: the shortlex-least word, as letter ids, of the
-    language of the minimal flat DFA ``dfa`` that has the letter ids ``w`` as
-    a subsequence, or None.  It walks the pairs (state, length of the prefix
-    of w matched greedily) from (0, 0), letters in alphabet order, and skips
-    moves into the sink.  The DFA is deterministic, so each pair is first
-    reached by its shortlex-least word, and the answer depends only on the
-    language."""
-    delta, finals = dfa[1], dfa[2]
-    sink = _sink(m, dfa)
+    language of the canonical minimal flat DFA ``dfa`` that has the letter
+    ids ``w`` as a subsequence, or None.  It walks the pairs (state, length
+    of the prefix of w matched greedily) from (0, 0) along the live moves,
+    letters in alphabet order.  The DFA is deterministic, so each pair is
+    first reached by its shortlex-least word, and the answer depends only on
+    the language."""
+    n, succ, finals = dfa
     goal = len(w)
     width = goal + 1
+    if not n:
+        return None
     if not goal and 0 in finals:
         return []
     back = {0: None}  # pair key state*width + matched -> (previous key, letter)
@@ -240,10 +249,7 @@ def _superword(m: int, dfa, w):
     for key in queue:  # grows while it is scanned
         q, pos = divmod(key, width)
         want = w[pos] if pos < goal else -1
-        base = q * m
-        for sym, t in enumerate(delta[base:base + m]):
-            if t == sink:
-                continue
+        for sym, t in succ[q].items():  # canonical rows list letters in order
             matched = pos + (sym == want)
             nxt = t * width + matched
             if nxt in back:
@@ -268,7 +274,7 @@ def shortest_superword_in(w: Sequence[str], a: Automaton) -> Optional[Word]:
     """Shortlex-least word of L(a) that has w as a subsequence; None also when
     w uses a symbol outside a's alphabet."""
     index = {name: sym for sym, name in enumerate(a.alphabet)}
-    word = _superword(len(a.alphabet), _minimal(a), [index.get(s, -1) for s in w])
+    word = _superword(_minimal(a), [index.get(s, -1) for s in w])
     return None if word is None else tuple(a.alphabet[sym] for sym in word)
 
 
@@ -279,7 +285,7 @@ def materialize_witness(alphabet, l_fix, r_fix, height: int) -> Tower:
     other side."""
     words, fixpoint = [], (l_fix, r_fix)
     while len(words) < height:
-        word = _superword(len(alphabet), fixpoint[len(words) % 2], words[-1] if words else [])
+        word = _superword(fixpoint[len(words) % 2], words[-1] if words else [])
         if word is None:
             raise ValueError("fixpoint pair is not mutually embeddable" if words
                              else "fixpoint left language is empty")
@@ -309,12 +315,12 @@ def decide_separability(
             lk, rk, downs = _refine(m, previous[1], *chain.flat_originals, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"{exc} at chain step {k}") from None
-        chain.flat_steps.append((lk, rk))
+        chain.flat_steps.append((_record(lk), _record(rk)))
         if with_separator:
             chain.downs.append(downs)
         # L_k empty makes R_k = R0 n down(L_k) empty: separable
-        if not lk[2] or (lk, rk) == previous:
-            chain.verdict = "infinite_tower" if lk[2] else "separable"
+        if not lk[0] or (lk, rk) == previous:
+            chain.verdict = "infinite_tower" if lk[0] else "separable"
             chain.b_index = k
             break
         previous = (lk, rk)
@@ -347,11 +353,11 @@ def build_separator(chain: RefinementChain, budget=None) -> Automaton:
     m = len(chain.alphabet)
     downs = chain.downs
     if not downs:
-        rights = [chain.flat_originals[1]] + [r for _, r in chain.flat_steps]
-        downs = [(_down(m, r_j, budget), _down(m, l_next, budget))
-                 for r_j, (l_next, _) in zip(rights, chain.flat_steps)]
-    outside = (1, [0] * m, {0})  # Sigma*
+        rights = [chain.flat_originals[1]] + [_flat(r) for _, r in chain.steps]
+        downs = [(_down(m, r_j, budget), _down(m, _flat(l_next), budget))
+                 for r_j, (l_next, _) in zip(rights, chain.steps)]
+    outside = (1, [dict.fromkeys(range(m), 0)], {0})  # Sigma*
     for down_r, down_l in downs[: chain.b_index]:
-        piece = _meet(m, down_r, _complement(down_l))
-        outside = _meet(m, outside, _complement(piece))
-    return _automaton(chain.alphabet, _minimize(m, _complement(outside)))
+        piece = _meet(down_r, _complement(m, down_l))
+        outside = _meet(outside, _complement(m, piece))
+    return _automaton(chain.alphabet, _minimize(_complement(m, outside)))

@@ -12,7 +12,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from ptsep import Automaton
+from ptsep import Automaton, Circuit, Gate
 
 
 def dfa(alphabet, transitions, initial, finals, states=None):
@@ -71,6 +71,18 @@ def random_nfa(rng: random.Random, max_states=3, alphabet=("a", "b"),
     initials = {q for q in range(n) if rng.random() < 0.5} or {rng.randrange(n)}
     finals = {q for q in range(n) if rng.random() < 0.4}
     return Automaton(n, alphabet, initials, finals, triples)
+
+
+def random_circuit(rng: random.Random, max_gates):
+    n = rng.randint(1, max_gates)
+    gates = []
+    for i in range(1, n + 1):
+        if i <= 2 or rng.random() < 0.3:
+            gates.append(Gate(rng.choice(("ZERO", "ONE"))))
+        else:
+            kind = rng.choice(("AND", "OR"))
+            gates.append(Gate(kind, rng.randint(1, i - 1), rng.randint(1, i - 1)))
+    return Circuit(tuple(gates))
 
 
 def random_complete_dfa(rng: random.Random, max_states=4, alphabet=("a", "b")):
@@ -166,6 +178,34 @@ def moore_minimize(d) -> dict:
 
 def moore_minimize_size(d) -> int:
     return moore_minimize(d)["states"]
+
+
+def subset_construction(a):
+    """Independent subset construction: (document, subsets), the DFA as an
+    ``automaton_to_dict`` document and its subsets of states as frozensets,
+    numbered in BFS order with letters in alphabet order, the empty subset a
+    state like any other.  The reference for determinize()."""
+    moves = {}
+    for s, sym, t in a.transitions:
+        moves.setdefault((s, sym), set()).add(t)
+    order = [frozenset(a.initials)]
+    number = {order[0]: 0}
+    transitions = []
+    for i, subset in enumerate(order):
+        for sym, name in enumerate(a.alphabet):
+            target = frozenset(t for s in subset for t in moves.get((s, sym), ()))
+            if target not in number:
+                number[target] = len(order)
+                order.append(target)
+            transitions.append([i, name, number[target]])
+    return {
+        "alphabet": list(a.alphabet),
+        "states": len(order),
+        "initials": [0],
+        "finals": [i for i, subset in enumerate(order) if subset & a.finals],
+        "deterministic": True,
+        "transitions": sorted(transitions),
+    }, order
 
 
 def down_closure(a):

@@ -43,7 +43,7 @@ from ptsep import (
     upper_bound_height,
     verify_tower,
 )
-from conftest import random_nfa
+from conftest import random_circuit, random_nfa
 
 QUADRATIC_PARAMS = (4, 6, 8, 10, 12)
 EXP_PARAMS = tuple(range(1, 9))
@@ -229,18 +229,6 @@ def test_criterion_06_separator_soundness():
         if not is_piecewise_testable(separator):
             failures.append(f"random {found}: separator not PT")
     report(6, "separator soundness", failures)
-
-
-def random_circuit(rng, max_gates):
-    n = rng.randint(1, max_gates)
-    gates = []
-    for i in range(1, n + 1):
-        if i <= 2 or rng.random() < 0.3:
-            gates.append(Gate(rng.choice(("ZERO", "ONE"))))
-        else:
-            kind = rng.choice(("AND", "OR"))
-            gates.append(Gate(kind, rng.randint(1, i - 1), rng.randint(1, i - 1)))
-    return Circuit(tuple(gates))
 
 
 def test_criterion_07_mcvp_equivalence():

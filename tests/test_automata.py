@@ -38,6 +38,7 @@ from conftest import (
     random_nfa,
     reachable_pairs,
     sigma_star,
+    subset_construction,
     union,
 )
 
@@ -154,6 +155,23 @@ def sink_heavy_dfa(rng, letters, max_states=8):
     return Automaton(n, alphabet, {rng.randrange(n)}, finals, triples, True)
 
 
+def sparse_dfa(rng, letters, complete=False, max_states=8):
+    """A random DFA over ``letters`` letters with at most four live moves per
+    state.  Partial, or completed through a nonfinal state that every other
+    move enters."""
+    n = rng.randint(1, max_states)
+    alphabet = tuple(f"x{i}" for i in range(letters))
+    triples = {(q, sym, rng.randrange(n))
+               for q in range(n) for sym in rng.sample(alphabet, rng.randint(0, 4))}
+    finals = {q for q in range(n) if rng.random() < 0.4}
+    if complete:
+        moved = {(q, sym) for q, sym, _ in triples}
+        triples |= {(q, sym, n) for q in range(n + 1) for sym in alphabet
+                    if (q, sym) not in moved}
+        n += 1
+    return Automaton(n, alphabet, {rng.randrange(n)}, finals, triples, True)
+
+
 def test_minimize_against_moore_oracle():
     rng = random.Random(17)
     for _ in range(200):
@@ -169,6 +187,45 @@ def test_minimize_against_moore_oracle():
         for _ in range(60):
             d = sink_heavy_dfa(rng, letters)
             assert automaton_to_dict(minimal_dfa(d)) == moore_minimize(d)
+    # 40 to 100 letters and few live moves, partial and complete: the
+    # minimization sees only the live moves, and the sink comes back at its
+    # BFS place
+    for complete_input in (False, True):
+        for _ in range(150):
+            d = sparse_dfa(rng, rng.randint(40, 100), complete_input)
+            assert automaton_to_dict(minimal_dfa(d)) == moore_minimize(d)
+    wide = tuple(f"x{i}" for i in range(60))
+    empty = Automaton(2, wide, {0}, set(), {(0, "x3", 1), (1, "x7", 0)}, True)
+    assert automaton_to_dict(minimal_dfa(empty)) == moore_minimize(empty)
+    assert minimal_dfa(empty).state_count == 1 and not minimal_dfa(empty).finals
+    full = sigma_star(wide)  # no sink: every move is live
+    assert automaton_to_dict(minimal_dfa(full)) == moore_minimize(full)
+    assert minimal_dfa(full).state_count == 1
+    # x0 is missing at the start, so the sink is met before the x1-successor
+    second = dfa(wide, {0: {"x1": 1}, 1: {"x1": 1}}, 0, {1})
+    mini = minimal_dfa(second)
+    assert automaton_to_dict(mini) == moore_minimize(second)
+    assert mini.finals == {2}
+    assert {(0, 0, 1), (0, 1, 2), (2, 1, 2), (2, 0, 1)} <= mini.transitions
+    assert all((1, sym, 1) in mini.transitions for sym in range(len(wide)))
+
+
+def test_determinize_against_reference_subsets():
+    # the empty subset is a state once it is reached, at its BFS place
+    rng = random.Random(29)
+    empty_reached = empty_inside = 0
+    for letters in (2, 3, 40, 70):
+        alphabet = tuple(f"x{i}" for i in range(letters))
+        for _ in range(60):
+            a = random_nfa(rng, max_states=4, alphabet=alphabet,
+                           density=0.3 if letters < 4 else 0.02)
+            want, subsets = subset_construction(a)
+            assert automaton_to_dict(determinize(a)) == want
+            assert automaton_to_dict(minimal_dfa(a)) == moore_minimize(determinize(a))
+            if frozenset() in subsets:
+                empty_reached += 1
+                empty_inside += subsets.index(frozenset()) < len(subsets) - 1
+    assert empty_reached >= 200 and empty_inside >= 100
 
 
 def test_minimize_paper_counts():

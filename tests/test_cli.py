@@ -69,6 +69,41 @@ def test_analyze_max_steps_zero_undecided(tmp_path, capsys):
     assert report["verdict"] == "undecided"
 
 
+@pytest.mark.parametrize("option", ["--max-steps", "--witness-height", "--budget"])
+@pytest.mark.parametrize("value", ["-1", "-5", "x"])
+def test_analyze_rejects_negative_counts(pair_files, capsys, option, value):
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", *pair_files, option, value, "--json"])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert f"argument {option}: expected a non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["prefix-analyze", "LEFT", "RIGHT", "--budget", "-2"],
+    ["pt-check", "LEFT", "--budget", "-2"],
+    ["oracle", "tower", "LEFT", "RIGHT", "--max-len", "2", "--budget", "-2"],
+])
+def test_every_budget_option_rejects_negative_values(pair_files, capsys, argv):
+    paths = dict(zip(("LEFT", "RIGHT"), pair_files))
+    with pytest.raises(SystemExit) as info:
+        main([paths.get(arg, arg) for arg in argv])
+    assert info.value.code == 2
+    assert "argument --budget: expected a non-negative integer, got '-2'" in capsys.readouterr().err
+
+
+def test_analyze_witness_height_zero_gives_no_witness(tmp_path, capsys):
+    a = dfa(("a", "b"), {0: {"a": 1}, 1: {"b": 0}}, 0, {1})
+    pa = tmp_path / "a.json"
+    save_automaton(a, pa)
+    code = main(["analyze", str(pa), str(pa), "--witness-height", "0", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["verdict"] == "infinite_tower"
+    assert "witness" not in report
+
+
 def test_analyze_report_determinism(pair_files, capsys):
     left, right = pair_files
     main(["analyze", left, right, "--json"])
@@ -92,6 +127,19 @@ def test_prefix_analyze(tmp_path, capsys):
     assert code == 1  # no infinite prefix tower
     assert report["height"] == 8
     assert report["bounds"]["dfa_pair_bound"] == 8
+
+
+def test_prefix_analyze_empty_inputs_have_an_integer_nfa_bound(tmp_path, capsys):
+    path = tmp_path / "none.json"
+    write_json(path, {"alphabet": ["a"], "states": 0, "initials": [], "finals": [],
+                      "transitions": []})
+    code = main(["prefix-analyze", str(path), str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["height"] == 0
+    bounds = report["bounds"]
+    assert bounds["nfa_bound"] == 1 and isinstance(bounds["nfa_bound"], int)
+    assert bounds["minimal_dfa_states"] == [1, 1]
 
 
 def test_prefix_analyze_determinizes_each_input_once(tmp_path, capsys, monkeypatch):

@@ -37,6 +37,7 @@ from conftest import (
     empty_language,
     equivalent,
     literal,
+    random_circuit,
     random_complete_dfa,
     random_nfa,
     shortest_superword,
@@ -179,6 +180,27 @@ def test_chain_steps_are_the_refine_step_fold(pair):
     assert chain.to_dict()["steps"] == [
         {"left_states": lk.state_count, "right_states": rk.state_count}
         for lk, rk in chain.steps]
+
+
+def test_chain_step_counts_are_the_public_state_counts():
+    # to_dict reads each count off a trim flat DFA, without a sink; the
+    # public automata are built from the same DFAs, and minimizing and
+    # trimming them again changes nothing
+    rng = random.Random(9104)
+    pairs = [(inst.left, inst.right) for inst in (
+        gen_quadratic(6), gen_2exp(2), gen_exp(3), gen_expdfa(3))]
+    pairs += [gen_mcvp(random_circuit(rng, 12)) for _ in range(20)]
+    verdicts = set()
+    for left, right in pairs:
+        chain = decide_separability(left, right).chain
+        verdicts.add(chain.verdict)
+        assert chain.to_dict()["steps"] == [
+            {"left_states": lk.state_count, "right_states": rk.state_count}
+            for lk, rk in chain.steps]
+        for step in chain.steps:
+            for x in step:
+                assert trim(minimal_dfa(x)).state_count == x.state_count
+    assert verdicts == {"separable", "infinite_tower"}
 
 
 def test_fixpoint_is_mutually_embeddable():
