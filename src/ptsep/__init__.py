@@ -53,7 +53,6 @@ from .towers import (
     RefinementChain,
     SeparationResult,
     Tower,
-    build_separator,
     check_tower,
     decide_separability,
     refine_step,

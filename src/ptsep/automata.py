@@ -724,7 +724,7 @@ def load_automaton(path) -> Automaton:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or a file that is not UTF-8
             raise SchemaError(f"{path}: {exc}") from None
     return automaton_from_dict(data)
 

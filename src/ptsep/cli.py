@@ -83,7 +83,10 @@ def _load_pair(left_path, right_path):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # bad JSON, or a file that is not UTF-8
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def _load_graph(path):
@@ -255,15 +258,19 @@ def cmd_verify_tower(args) -> int:
     return 1
 
 
-def _parse_range(text):
-    parts = [int(x) for x in text.split(":")]
-    if len(parts) == 1:
-        return range(parts[0], parts[0] + 1)
-    if len(parts) == 2:
-        return range(parts[0], parts[1] + 1)
-    if len(parts) == 3:
-        return range(parts[0], parts[1] + 1, parts[2])
-    raise PtsepError(f"bad range {text!r}, expected start[:stop[:step]]")
+def _parse_range(text: str) -> range:
+    """The --range option: start[:stop[:step]], stop inclusive, step positive
+    (default 1); argparse names the option on error."""
+    try:
+        bounds = [int(x) for x in text.split(":")]
+        start, stop, step = {1: bounds * 2 + [1], 2: bounds + [1], 3: bounds}[len(bounds)]
+    except (ValueError, KeyError):
+        raise argparse.ArgumentTypeError(
+            f"expected start[:stop[:step]] of integers, got {text!r}") from None
+    if step < 1 or start > stop:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonempty range with a positive step, got {text!r}")
+    return range(start, stop + 1, step)
 
 
 BENCH_COLUMNS = [
@@ -276,7 +283,7 @@ def cmd_bench(args) -> int:
     suites = list(_FAMILIES) if args.suite == "all" else [args.suite]
     rows = []
     for family in suites:
-        params = _parse_range(args.range) if args.range else _DEFAULT_RANGES[family]
+        params = args.range or _DEFAULT_RANGES[family]
         for param in params:
             start = time.perf_counter()
             instance = _FAMILIES[family](param)
@@ -397,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="reproduce family heights and bounds")
     p.add_argument("--suite", choices=sorted(_FAMILIES) + ["all"], required=True)
-    p.add_argument("--range", default=None, help="start[:stop[:step]] inclusive")
+    p.add_argument("--range", type=_parse_range, default=None,
+                   help="start[:stop[:step]] inclusive")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_bench)
 
@@ -405,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="oracle_command", required=True)
     q = osub.add_parser("enumerate")
     q.add_argument("automaton")
-    q.add_argument("--max-len", type=int, required=True)
+    q.add_argument("--max-len", type=_count, required=True)
     q.add_argument("--budget", type=_count, default=None)
     q.set_defaults(func=cmd_oracle)
     q = osub.add_parser("tower")
@@ -413,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("right")
     q.add_argument("--relation", choices=["subsequence", "prefix"],
                    default="subsequence")
-    q.add_argument("--max-len", type=int, required=True)
+    q.add_argument("--max-len", type=_count, required=True)
     q.add_argument("--budget", type=_count, default=None)
     q.set_defaults(func=cmd_oracle)
     q = osub.add_parser("reach")

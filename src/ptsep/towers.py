@@ -8,8 +8,10 @@ mutually embeddable pair (an infinite tower exists).
 
 When it empties out at step b (L_b = R_b = empty), the pair is separable and
 the union over j < b of ``down(R_j) minus down(L_{j+1})`` is a piecewise
-testable separator: it contains R0 and misses L0, and it is built from the
-same down-closures that define the chain.
+testable separator: it contains R0 and misses L0.  It is built from the
+down-closures that the chain's steps compute: ``decide_separability``
+gathers them while it runs the chain and passes them to
+``build_separator``; the chain keeps none of them.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .automata import (
     Word,
     _automaton,
     _complement,
-    _flat,
     _meet,
     _minimal,
     _minimize,
@@ -190,16 +191,13 @@ class RefinementChain:
     DFAs are kept in ``flat_steps`` as compact records (see
     :func:`_record`).  ``originals`` and ``steps`` give them as trimmed
     minimal automata, built when read; their state counts are the flat
-    DFAs' n.
-    ``downs[k-1]`` holds the minimal DFAs of down(R_{k-1}) and down(L_k)
-    when the chain was run for a separator, and is empty otherwise.
+    DFAs' n.  The down DFAs of the steps are not kept.
     """
 
     def __init__(self, alphabet, originals):
         self.alphabet = alphabet
         self.flat_originals = originals
         self.flat_steps = []
-        self.downs = []
         self.verdict = "undecided"  # | "separable" | "infinite_tower"
         self.b_index: Optional[int] = None
 
@@ -310,14 +308,15 @@ def decide_separability(
     m = len(left.alphabet)
     chain = RefinementChain(left.alphabet, (_minimal(left, budget), _minimal(right, budget)))
     previous = chain.flat_originals
+    downs = []  # (down(R_{k-1}), down(L_k)) of each step, for the separator only
     for k in range(1, max_steps + 1):
         try:
-            lk, rk, downs = _refine(m, previous[1], *chain.flat_originals, budget)
+            lk, rk, step_downs = _refine(m, previous[1], *chain.flat_originals, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"{exc} at chain step {k}") from None
         chain.flat_steps.append((_record(lk), _record(rk)))
         if with_separator:
-            chain.downs.append(downs)
+            downs.append(step_downs)
         # L_k empty makes R_k = R0 n down(L_k) empty: separable
         if not lk[0] or (lk, rk) == previous:
             chain.verdict = "infinite_tower" if lk[0] else "separable"
@@ -327,37 +326,29 @@ def decide_separability(
 
     result = SeparationResult(status=chain.verdict, chain=chain)
     if chain.verdict == "separable" and with_separator:
-        result.separator = build_separator(chain, budget)
+        result.separator = build_separator(left.alphabet, downs)
     elif chain.verdict == "infinite_tower" and witness_height > 0:
         result.witness = materialize_witness(left.alphabet, *previous, witness_height)
     return result
 
 
-def build_separator(chain: RefinementChain, budget=None) -> Automaton:
-    """Assemble the piecewise testable separator from a separable chain.
-
-    With R_0 = R0 from ``chain.originals``, (L_k, R_k) = ``chain.steps[k-1]``
-    and L_b empty (b = ``chain.b_index``), the separator is the union over
-    j < b of down(R_j) minus down(L_{j+1}), returned as a canonical minimal
-    complete DFA.  The down DFAs are the ones the chain built, or are built
-    again when the chain was run without a separator.  Only DFA products and
-    complements are used: the loop accumulates the separator's complement,
-    the intersection of the pieces' complements, and complements it once at
-    the end."""
-    if chain.verdict != "separable":
-        raise ValueError("separator is only defined for a separable chain")
+def build_separator(alphabet, downs) -> Automaton:
+    """The PT separator of a separable chain, as a canonical minimal complete
+    DFA.  ``downs[j]`` is the pair of flat DFAs (down(R_j), down(L_{j+1})) of
+    chain step j + 1, with R_0 = R0 and L_b empty; the separator is the union
+    of the pieces down(R_j) minus down(L_{j+1}).  The pieces are disjoint:
+    L_{j+1} is in down(R_j) and R_{j+1} in down(L_{j+1}), so the 2b
+    down-closures are nested, and a word is in the separator iff an odd
+    number of them contain it.  The union is balanced: the pieces'
+    complements are met in neighbouring pairs, level by level, an odd one
+    carried up, and the result is complemented once at the end."""
     # Soundness.  Contains R0: for w in R0 take the largest j with w in R_j;
     # w is not in R_{j+1} = R0 n down(L_{j+1}), so w lies in piece j.
     # Misses L0: w in L0 n down(R_j) is in L_{j+1}, so in down(L_{j+1}).
     # PT: down-closed languages are PT and PT is closed under Boolean ops.
-    m = len(chain.alphabet)
-    downs = chain.downs
-    if not downs:
-        rights = [chain.flat_originals[1]] + [_flat(r) for _, r in chain.steps]
-        downs = [(_down(m, r_j, budget), _down(m, _flat(l_next), budget))
-                 for r_j, (l_next, _) in zip(rights, chain.steps)]
-    outside = (1, [dict.fromkeys(range(m), 0)], {0})  # Sigma*
-    for down_r, down_l in downs[: chain.b_index]:
-        piece = _meet(down_r, _complement(m, down_l))
-        outside = _meet(outside, _complement(m, piece))
-    return _automaton(chain.alphabet, _minimize(_complement(m, outside)))
+    m = len(alphabet)
+    level = [_complement(m, _meet(down_r, _complement(m, down_l))) for down_r, down_l in downs]
+    while len(level) > 1:
+        carry = level[-1:] if len(level) % 2 else []
+        level = [_meet(a, b) for a, b in zip(level[::2], level[1::2])] + carry
+    return _automaton(alphabet, _minimize(_complement(m, level[0])))

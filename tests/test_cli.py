@@ -93,6 +93,20 @@ def test_every_budget_option_rejects_negative_values(pair_files, capsys, argv):
     assert "argument --budget: expected a non-negative integer, got '-2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "enumerate", "LEFT", "--max-len", "-1"],
+    ["oracle", "tower", "LEFT", "RIGHT", "--max-len", "-1"],
+])
+def test_every_max_len_option_rejects_negative_values(pair_files, capsys, argv):
+    paths = dict(zip(("LEFT", "RIGHT"), pair_files))
+    with pytest.raises(SystemExit) as info:
+        main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "argument --max-len: expected a non-negative integer, got '-1'" in captured.err
+
+
 def test_analyze_witness_height_zero_gives_no_witness(tmp_path, capsys):
     a = dfa(("a", "b"), {0: {"a": 1}, 1: {"b": 0}}, 0, {1})
     pa = tmp_path / "a.json"
@@ -232,6 +246,9 @@ def test_verify_tower_rejects_bad_file(tmp_path, capsys):
     ([{"word": "a1", "side": "left"}], "elements[0].word"),
     ([{"word": ["a1"], "side": "left"}, {"word": [1], "side": "right"}],
      "elements[1].word"),
+    # a string is written as the file's text: a JSON syntax error names the file
+    pytest.param('{"relation": "subsequence", "elements": [', "tower.json: Expecting",
+                 id="syntax"),
 ])
 def test_verify_tower_malformed_document_exit_code(tmp_path, capsys, elements, field):
     inst = gen_exp(1)
@@ -239,7 +256,10 @@ def test_verify_tower_malformed_document_exit_code(tmp_path, capsys, elements, f
     save_automaton(inst.left, pa)
     save_automaton(inst.right, pb)
     tower_path = tmp_path / "tower.json"
-    write_json(tower_path, {"relation": "subsequence", "elements": elements})
+    if isinstance(elements, str):
+        tower_path.write_text(elements, encoding="utf-8")
+    else:
+        write_json(tower_path, {"relation": "subsequence", "elements": elements})
     code = main(["verify-tower", str(pa), str(pb), str(tower_path)])
     captured = capsys.readouterr()
     assert code == 2
@@ -255,10 +275,15 @@ def test_verify_tower_malformed_document_exit_code(tmp_path, capsys, elements, f
     ({"vertices": 2, "edges": [[False, True]], "s": False, "t": True}, "s:"),
     ({"vertices": True, "edges": [], "s": 0, "t": 0}, "vertices:"),
     ({"vertices": 2, "edges": [[0, True]], "s": 0, "t": 1}, "edges[0]"),
+    # a string is written as the file's text: a JSON syntax error names the file
+    pytest.param('{"vertices": 3,', "graph.json: Expecting", id="syntax"),
 ])
 def test_graph_malformed_document_exit_code(tmp_path, capsys, graph, field):
     gpath = tmp_path / "graph.json"
-    write_json(gpath, graph)
+    if isinstance(graph, str):
+        gpath.write_text(graph, encoding="utf-8")
+    else:
+        write_json(gpath, graph)
     for argv in (["oracle", "reach", str(gpath)],
                  ["reduce", "--kind", "reach", "--input", str(gpath),
                   "--out-dir", str(tmp_path / "red")]):
@@ -347,6 +372,42 @@ def test_bench_csv(tmp_path, capsys):
     assert [int(r["height"]) for r in rows] == [4, 8, 16, 32]
     assert all(r["bound_ok"] == "True" for r in rows)
     assert [int(r["expected_height"]) for r in rows] == [4, 8, 16, 32]
+
+
+@pytest.mark.parametrize("text", ["3:1", "1:x"])
+def test_bench_rejects_bad_ranges(capsys, text):
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--suite", "exp", "--range", text])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert "argument --range: " in captured.err and repr(text) in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--kind", "mcvp", "--input", "DOC"],
+    ["reduce", "--kind", "universality", "--input", "DOC"],
+])
+def test_reduce_json_syntax_error_names_the_file(tmp_path, capsys, argv):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"gates": [', encoding="utf-8")
+    code = main([str(doc) if arg == "DOC" else arg for arg in argv]
+                + ["--out-dir", str(tmp_path / "red")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {doc}: Expecting")
+
+
+def test_undecodable_file_names_the_path(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    for argv in (["pt-check", str(path)], ["oracle", "reach", str(path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: 'utf-8' codec can't decode")
 
 
 def test_oracle_enumerate(tmp_path, capsys):

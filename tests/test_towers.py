@@ -9,7 +9,6 @@ from ptsep import (
     Tower,
     automaton_to_dict,
     brute_max_tower_height,
-    build_separator,
     check_tower,
     complement,
     decide_separability,
@@ -257,12 +256,6 @@ def test_separator_matches_reference_on_families(family, param, states):
     assert result.separator.state_count == states
     reference = reference_separator(result.chain)
     assert automaton_to_dict(result.separator) == automaton_to_dict(reference)
-    # the chain keeps its down DFAs only when a separator is asked for, and
-    # build_separator builds them again for a chain that lacks them
-    assert len(result.chain.downs) == result.chain.b_index
-    plain = decide_separability(inst.left, inst.right).chain
-    assert plain.downs == []
-    assert automaton_to_dict(build_separator(plain)) == automaton_to_dict(result.separator)
 
 
 def test_separator_matches_reference_on_random_pairs():
@@ -285,9 +278,10 @@ def test_separator_matches_reference_on_random_pairs():
 
 def test_separator_requires_separable_chain():
     a, b = chain_pair()
-    result = decide_separability(a, b)
-    with pytest.raises(ValueError):
-        build_separator(result.chain)
+    result = decide_separability(a, b, with_separator=True)
+    assert result.status == "infinite_tower"
+    assert result.separator is None
+    assert check_tower(a, b, result.witness) is None
 
 
 def test_witness_helpers():
