@@ -19,7 +19,7 @@ that order, and ``n == 0`` for the empty language.  The subset construction
 returns the flat form, and the minimization and the product take it, so their
 cost follows the live moves, not states times letters.  :func:`_completed`
 builds the complete table, with its sink, only where a caller needs it:
-:class:`Automaton` output, complements, prefix heights and the PT test.
+:class:`Automaton` output, complements and the PT test.
 :class:`Automaton` validates every field and is built only at the boundary,
 by the public functions and by :func:`automaton_from_dict`.
 """

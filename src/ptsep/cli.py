@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from . import families, oracles, prefixes, ptcheck, towers
 from .automata import (
-    _completed,
     _minimal,
     automaton_from_dict,
     automaton_to_dict,
@@ -159,7 +158,7 @@ def cmd_prefix_analyze(args) -> int:
     with _timer(report, "pattern"):
         pattern = prefixes.find_pattern(left, right)
     report.data["pattern_found"] = pattern is not None
-    dfas = [_completed(len(left.alphabet), _minimal(x, args.budget)) for x in (left, right)]
+    dfas = [_minimal(x, args.budget) for x in (left, right)]
     if pattern is not None:
         report.data["pattern"] = pattern.to_dict()
         report.data["height"] = "infinite"
@@ -167,7 +166,10 @@ def cmd_prefix_analyze(args) -> int:
         with _timer(report, "height"):
             height = prefixes._flat_height(*dfas)
         report.data["height"] = int(height)
-    m, n = (d[0] for d in dfas)
+    # the state counts of the completed DFAs: a sink when a move is missing
+    k = len(left.alphabet)
+    m, n = (size + (not size or any(len(row) < k for row in succ))
+            for size, succ, _ in dfas)
     report.data["bounds"] = {
         "minimal_dfa_states": [m, n],
         "dfa_pair_bound": (m * n) // 2,

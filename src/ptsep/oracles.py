@@ -89,17 +89,22 @@ def brute_max_tower_height(
     ending on either side are propagated from w's one-letter-shorter
     predecessors, which covers every strict relation step.  A word accepted
     by both automata yields the unbounded tower w, w, w, ... and is reported
-    as at_least(height_cap).
+    as at_least(height_cap).  The height found is always a sound lower
+    bound: it is the height of a tower of enumerated words.
 
     For prefixes the answer is exact when every word w of length max_len
     shares its pair of state sets with a shorter word whose chain heights are
     at least w's, or has accepted strict extensions on one side at most and
     too low a chain below it to gain from them.  A taller tower with the
     shortest top would pass through such a w, and swapping w for the shorter
-    word would give a taller tower with a shorter top.  For subsequences the
-    answer is exact unless a chain of the found height provably extends past
-    the horizon (its top lies in the down-closure of the other language);
-    chains below that height are not checked.
+    word would give a taller tower with a shorter top.
+
+    For subsequences the answer is exact when no tower is one element taller
+    than the one found.  A subsequence tower need not pass through any word
+    of length max_len, so the horizon proves this only when both languages
+    lie inside it; :func:`_tower_exists` decides it for any pair, on a
+    finite product of copies of the two automata.  ``budget`` bounds that
+    search too, and when it runs out the answer is at_least.
     """
     if relation not in ("subsequence", "prefix"):
         raise ValueError(f"unknown relation {relation!r}")
@@ -112,7 +117,7 @@ def brute_max_tower_height(
     # best[w] = (tallest chain ending on the a-side with top v related-below w,
     #            same for the b-side); both include v == w itself.
     best = {}
-    ending = {}  # (word, side) -> chain height ending exactly there
+    height = 0  # the tallest chain ending at any word so far
     for length in range(max_len + 1):
         for word in iter_product(range(len(a.alphabet)), repeat=length):
             if word:
@@ -133,13 +138,9 @@ def brute_max_tower_height(
                         prop_b = pb
             here_a = prop_b + 1 if sa & fa else 0
             here_b = prop_a + 1 if sb & fb else 0
-            if here_a:
-                ending[(word, "a")] = here_a
-            if here_b:
-                ending[(word, "b")] = here_b
+            height = max(height, here_a, here_b)
             best[word] = (max(prop_a, here_a), max(prop_b, here_b))
 
-    height = max(ending.values(), default=0)
     if relation == "prefix":
         earlier = {}  # state-set pair -> chain heights of shorter words
         for word, pair in sets.items():
@@ -157,16 +158,51 @@ def brute_max_tower_height(
                 y + 1 if grow_a else x + 1 if grow_b else 0) <= height
 
         return TowerSearch(height, all(settled(w) for w in sets if len(w) == max_len))
-    for (word, side), h in ending.items():
-        if h < height:
+    return TowerSearch(height, _tower_exists(a, b, height + 1, budget) is False)
+
+
+def _tower_exists(a: Automaton, b: Automaton, h: int, budget: Optional[int]):
+    """Whether a subsequence tower of height h exists, with its bottom on
+    either side: True, False, or None when ``budget`` state tuples are met
+    before the search ends.
+
+    Embed each element of a tower w_1 <= ... <= w_h into the next and compose
+    the embeddings, so every element sits inside the top w_h, each inside
+    the next.  Label each position of w_h with the lowest level i whose w_i
+    uses it: w_i is then the subsequence of the positions labelled i or less.
+    So a tower of height h is a word of labelled letters that h copies of
+    the automata accept together, copy i of the side of w_i reading the
+    letters labelled i or less; and every such word gives a tower.  Each copy
+    is a subset run, so the product of the copies is finite and a search
+    over it decides the question.  It uses nothing but :meth:`Automaton.step`.
+    """
+    budget = budget if budget is not None else ENUM_BUDGET
+    m = len(a.alphabet)
+    met = 0
+    for bottom, top in ((a, b), (b, a)):
+        copies = [(bottom, top)[i % 2] for i in range(h)]
+        start = tuple(x.initial_mask for x in copies)
+        if not all(start):
             continue
-        other = b if side == "a" else a
-        states = other.initial_mask  # match the top letter by letter, any moves in between
-        for sym in word:
-            states = other.step(states | _later(states, other), sym)
-        if (states | _later(states, other)) & other.final_mask:
-            return TowerSearch(height, False)
-    return TowerSearch(height, True)
+        seen = {start}
+        stack = [start]
+        while stack:
+            sets = stack.pop()
+            if all(s & x.final_mask for s, x in zip(sets, copies)):
+                return True
+            for sym in range(m):
+                for level in range(h):
+                    moved = tuple(x.step(s, sym) for s, x in zip(sets[level:], copies[level:]))
+                    if not all(moved):
+                        continue  # a copy with no state left accepts nothing
+                    nxt = sets[:level] + moved
+                    if nxt not in seen:
+                        met += 1
+                        if met > budget:
+                            return None
+                        seen.add(nxt)
+                        stack.append(nxt)
+    return False
 
 
 def reachability(n_vertices: int, edges: Sequence, s: int, t: int) -> bool:

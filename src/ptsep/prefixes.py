@@ -9,16 +9,32 @@ the right side, and sigma1/sigma2 (resp. tau1/tau2) are reachable from sigma
 equivalent to an infinite tower of prefixes, and the witness words assemble
 the tower u (x u1 y u2)* (x + x u1 y).
 
-The height is read off the product of two complete DFAs, where every word
-leads to one state.  A tower of prefixes is then a walk whose elements land
-alternately in X = F_A x (Q_B \\ F_B) and Y = (Q_A \\ F_A) x F_B; disjointness
-leaves F_A x F_B empty.  One pass over the product's condensation, successors
-first, finds the longest alternation.  A component holding both an X and a Y
-state makes it infinite: the two are mutually reachable by nonempty words, so
-the walk can alternate forever, and any state pair that alternates forever is
-mutually reachable, hence in one component.  Any other component meets one
-class at most, and all its states reach the same states outside it, so its
-best X-bottomed and Y-bottomed heights follow from those of its successors.
+The height is read off the trim reachable product of the two canonical
+minimal DFAs, which have no sink.  Completed with sinks, the DFAs would lead
+every word to one state pair, and a tower of prefixes would be a walk whose
+elements land alternately in X = F_A x (Q_B \\ F_B) and
+Y = (Q_A \\ F_A) x F_B; disjointness leaves F_A x F_B empty.  One pass over
+the product's condensation, successors first, finds the longest alternation.
+A component holding both an X and a Y state makes it infinite: the two are
+mutually reachable by nonempty words, so the walk can alternate forever, and
+any state pair that alternates forever is mutually reachable, hence in one
+component.  Any other component meets one class at most, and all its states
+reach the same states outside it, so its best X-bottomed and Y-bottomed
+heights follow from those of its successors.
+
+The trim product holds the pairs of live states.  The completed one also
+holds the sink pairs, and nothing else: a word that leaves one side lands in
+that side's sink.  If the left side moves on a letter and the right side has
+none, the word goes on in the left language alone.  Its right state is the
+sink, which never accepts, so every state pair it reaches lies in X or in
+neither class.  The left DFA is trim, so such a state in X is reached.  A
+tower along this tail has one element only, since two would need an element
+in Y.  So a component gets X-bottomed height at least 1 when one of its
+states has a left-only letter, and Y-bottomed height at least 1 when one
+has a right-only letter.  A sink pair never shares a component with a live
+pair, and meets one class at most, so the infinite case is found on the
+live pairs alone.  When one language is empty there is no product: the
+height is 1 when the other language has a word, and 0 when it has none.
 
 Both searches read the reachable product straight off the product kernel
 :func:`~ptsep.automata._product`: its state ids follow the order of the
@@ -36,7 +52,6 @@ from typing import Optional
 from .automata import (
     Automaton,
     Word,
-    _completed,
     _minimal,
     _moves,
     _product,
@@ -245,17 +260,20 @@ def max_prefix_tower_height(a: Automaton, b: Automaton, budget=None):
     """Exact maximal height of a finite tower of prefixes between disjoint
     languages, or ``math.inf`` when an infinite one exists.  A height is a
     property of the languages, so it is measured on the canonical minimal
-    DFAs of the inputs (:func:`~ptsep.automata._minimal`), completed."""
+    DFAs of the inputs (:func:`~ptsep.automata._minimal`), trim and without
+    a sink, by the kernel :func:`_flat_height`."""
     _require_same_alphabet(a, b)
-    m = len(a.alphabet)
-    return _flat_height(_completed(m, _minimal(a, budget)), _completed(m, _minimal(b, budget)))
+    return _flat_height(_minimal(a, budget), _minimal(b, budget))
 
 
 def _flat_height(da, db):
-    """The height kernel on two complete flat DFAs (see
-    :func:`~ptsep.automata._completed`): one pass over the condensation of
-    their reachable product (module docstring)."""
-    (_, succ_a, finals_a), (nb, succ_b, finals_b) = da, db
+    """The height kernel on two trim flat DFAs: one pass over the
+    condensation of their trim reachable product, with the single-side tails
+    of the sink pairs counted per component (module docstring)."""
+    (na, succ_a, finals_a), (nb, succ_b, finals_b) = da, db
+    if not (na and nb):
+        # one side has no word: a tower is one word of the other side, or none
+        return int(bool(na or nb))
     keys, moves, both = _product([row.items() for row in succ_a],
                                  _rows([row.items() for row in succ_b]), nb, (0,),
                                  finals_a, finals_b)
@@ -274,8 +292,18 @@ def _flat_height(da, db):
         later = {comp_of[t] for v in comp for t in succ[v]} - {c}
         below_x = max((best_x[d] for d in later), default=0)
         below_y = max((best_y[d] for d in later), default=0)
-        has_x = any(keys[v] // nb in finals_a for v in comp)
-        has_y = any(keys[v] % nb in finals_b for v in comp)
+        has_x = has_y = False
+        for v in comp:
+            p, q = divmod(keys[v], nb)
+            has_x = has_x or p in finals_a
+            has_y = has_y or q in finals_b
+            # the product moves on the common letters only; a letter that
+            # moves on one side alone starts a tail of one element on it
+            common = len(succ[v])
+            if len(succ_a[p]) > common:
+                below_x = max(below_x, 1)
+            if len(succ_b[q]) > common:
+                below_y = max(below_y, 1)
         if has_x and has_y:
             return INFINITE
         best_x.append(max(below_x, below_y + 1) if has_x else below_x)

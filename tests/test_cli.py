@@ -156,6 +156,34 @@ def test_prefix_analyze_empty_inputs_have_an_integer_nfa_bound(tmp_path, capsys)
     assert bounds["minimal_dfa_states"] == [1, 1]
 
 
+def test_prefix_analyze_counts_the_states_of_the_completed_minimal_dfas(tmp_path, capsys):
+    # the count adds the sink of the completed DFA without building it
+    from ptsep import load_automaton, minimal_dfa
+
+    def counts(left, right):
+        pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+        save_automaton(left, pa)
+        save_automaton(right, pb)
+        main(["prefix-analyze", str(pa), str(pb), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["bounds"]["minimal_dfa_states"] == [
+            minimal_dfa(left).state_count, minimal_dfa(right).state_count]
+        return report["bounds"]["minimal_dfa_states"]
+
+    ab = ("a", "b")
+    complete = dfa(ab, {0: {"a": 1, "b": 0}, 1: {"a": 1, "b": 0}}, 0, {1})
+    assert counts(complete, literal(("b",), ab)) == [2, 3]
+    assert counts(literal(("a", "b"), ab), dfa(ab, {}, 0, set())) == [4, 1]
+    assert counts(sigma_star(ab), dfa(ab, {}, 0, set())) == [1, 1]
+    graph = tmp_path / "graph.json"
+    write_json(graph, {"vertices": 3, "edges": [[1, 2]], "s": 0, "t": 2})
+    out = tmp_path / "red"
+    assert main(["reduce", "--kind", "reach", "--dfa", "--input", str(graph),
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    counts(load_automaton(out / "left.json"), load_automaton(out / "right.json"))
+
+
 def test_prefix_analyze_determinizes_each_input_once(tmp_path, capsys, monkeypatch):
     # the height and the bounds share one subset construction per NFA input
     from ptsep import automata, gen_2exp

@@ -1,18 +1,23 @@
 """The brute-force reference layer itself: enumeration order, budget errors,
 and the bounded tower search."""
+import random
+
 import pytest
 
 from ptsep import (
     Automaton,
     BudgetExceeded,
     brute_max_tower_height,
+    decide_separability,
     enumerate_language,
     gen_exp,
     gen_reachability,
+    intersection,
+    is_empty,
     reachability,
     upper_bound_height,
 )
-from conftest import empty_language, ends_with, literal
+from conftest import empty_language, ends_with, literal, random_nfa
 
 
 def test_enumerate_empty_language():
@@ -103,3 +108,47 @@ def test_reachability():
     assert reachability(2, [], 1, 1)
     assert not reachability(2, [], 0, 1)
     assert not reachability(4, [(1, 2), (2, 3)], 0, 3)
+
+
+def test_brute_tower_paths_of_two_edges_are_not_exact():
+    # the tallest towers inside length 3 end in words that no longer extend,
+    # while lower chains alternate past the horizon forever: a path of two
+    # edges from s to t, in each of its 6 labellings, as a minimal-DFA pair
+    paths = [([(0, 1), (1, 2)], 0, 2), ([(0, 1), (2, 0)], 2, 1),
+             ([(0, 2), (1, 0)], 1, 2), ([(0, 2), (2, 1)], 0, 1),
+             ([(1, 0), (2, 1)], 2, 0), ([(1, 2), (2, 0)], 1, 0)]
+    for edges, s, t in paths:
+        left, right = gen_reachability(3, edges, s, t, dfa=True)
+        assert decide_separability(left, right).status == "infinite_tower"
+        assert brute_max_tower_height(left, right, "subsequence", 3) == (3, False)
+
+
+def test_brute_tower_exact_only_where_the_chain_is_finite():
+    # 200 random pairs of disjoint languages and 200 graph reductions, where
+    # infinite towers that share no word are common
+    draws = random.Random(1204)
+    pairs = []
+    while len(pairs) < 200:
+        a, b = (random_nfa(draws, max_states=4, alphabet=("a", "b"), density=0.3)
+                for _ in "ab")
+        if is_empty(intersection(a, b)):
+            pairs.append((a, b, 6))
+    while len(pairs) < 400:
+        n = draws.randint(2, 4)
+        edges = [(u, v) for u in range(n) for v in range(n) if draws.random() < 0.3]
+        s, t = draws.sample(range(n), 2)
+        a, b = gen_reachability(n, edges, s, t, dfa=draws.random() < 0.5)
+        k = len(a.alphabet)
+        max_len = max(length for length in range(1, 7)
+                      if sum(k ** i for i in range(length + 1)) <= 4096)
+        pairs.append((a, b, max_len))
+    exact = infinite = 0
+    for a, b, max_len in pairs:
+        brute = brute_max_tower_height(a, b, "subsequence", max_len, budget=4096)
+        status = decide_separability(a, b, max_steps=64).status
+        assert status in ("separable", "infinite_tower")
+        if status == "infinite_tower":
+            assert not brute.exact
+            infinite += 1
+        exact += brute.exact
+    assert exact >= 250 and infinite >= 50

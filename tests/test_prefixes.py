@@ -27,6 +27,7 @@ from ptsep import (
 from ptsep.families import Circuit, Gate
 from conftest import (
     alternation_height,
+    empty_language,
     literal,
     random_complete_dfa,
     random_nfa,
@@ -116,8 +117,11 @@ def test_singleton_pair_heights():
     k = literal(("a",), ("a", "b"))
     l = literal(("b",), ("a", "b"))
     assert max_prefix_tower_height(k, l) == 1
+    # L = {a}, R = {ab}: the trim product stops at the pair reached by a,
+    # where only the right side moves (on b), so ab lives in R's tail alone
     prefix_pair = literal(("a",), ("a", "b")), literal(("a", "b"), ("a", "b"))
-    assert max_prefix_tower_height(*prefix_pair) == 2
+    assert max_prefix_tower_height(*prefix_pair) == alternation_height(*prefix_pair) == 2
+    assert max_prefix_tower_height(*reversed(prefix_pair)) == 2
     # a(ba)* against (ab)+: a < ab < aba < ... cycles through two states
     odd = Automaton(3, ("a", "b"), {0}, {1}, {(0, "a", 1), (1, "b", 2), (2, "a", 1)}, True)
     even = Automaton(3, ("a", "b"), {0}, {2}, {(0, "a", 1), (1, "b", 2), (2, "a", 1)}, True)
@@ -243,3 +247,51 @@ def test_reachability_reduction_against_bfs(rng):
         # the minimal-DFA variant behaves identically
         left2, right2 = gen_reachability(n, edges, s, t, dfa=True)
         assert (find_pattern(left2, right2) is not None) == expected
+
+
+def random_sparse(rng, alphabet, deterministic):
+    """A partial automaton with about one move per state, so a word often
+    moves on one side only."""
+    n = rng.randint(1, 5)
+    triples = set()
+    for src in range(n):
+        for sym in alphabet:
+            if rng.random() < 1.5 / len(alphabet):
+                targets = [rng.randrange(n)] if deterministic else rng.sample(
+                    range(n), rng.randint(1, 2) if n > 1 else 1)
+                triples.update((src, sym, dst) for dst in targets)
+    initials = {0} if deterministic else {q for q in range(n) if rng.random() < 0.4} or {0}
+    finals = {q for q in range(n) if rng.random() < 0.4}
+    return Automaton(n, alphabet, initials, finals, triples, deterministic)
+
+
+def test_single_side_tails_match_the_completed_reference():
+    # the kernel walks the trim product and counts a letter that moves on
+    # one side only as a one-element tail; the reference completes both
+    draws = random.Random(1209)
+    compared = positive = empty = 0
+    while compared < 400:
+        alphabet = tuple(f"s{i}" for i in range(draws.randint(6, 12)))
+        deterministic = draws.random() < 0.5
+        a, b = (random_sparse(draws, alphabet, deterministic) for _ in "ab")
+        try:
+            expected = alternation_height(a, b)
+        except ValueError:
+            continue
+        height = max_prefix_tower_height(a, b)
+        assert height == expected
+        compared += 1
+        empty += is_empty(a) or is_empty(b)
+        positive += 0 < height < math.inf
+    assert positive >= 100 and empty >= 20
+
+
+def test_empty_sides_have_height_of_the_other_side():
+    alphabet = tuple("abcdefg")
+    dead = Automaton(2, alphabet, {0}, {1}, {(0, "a", 0)}, True)
+    word = literal(("a", "b"), alphabet)
+    for e in (empty_language(alphabet), dead):
+        assert max_prefix_tower_height(e, e) == alternation_height(e, e) == 0
+        assert max_prefix_tower_height(e, word) == alternation_height(e, word) == 1
+        assert max_prefix_tower_height(word, e) == alternation_height(word, e) == 1
+
