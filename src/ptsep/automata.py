@@ -532,9 +532,12 @@ def _minimize(dfa, start: int = 0):
     move is no move into the other block.  Then a block that splits queues
     its smaller half, as in the complete case.  A splitter is read through
     the inverse of the live moves, grouped by letter, so a pass costs the
-    moves into the splitter.  Blocks are numbered in BFS order from the
+    moves into the splitter.  A source in a singleton block is skipped: a
+    singleton never splits.  A letter's lone source is split off its block
+    directly: it is that block's whole part under the letter, and as a
+    singleton the smaller half.  Blocks are numbered in BFS order from the
     block of ``start``, letters in alphabet order, so language-equal inputs
-    give identical output."""
+    give identical output, and an unreachable state is never numbered."""
     n, succ, finals = dfa
     if not n:
         return EMPTY
@@ -559,8 +562,18 @@ def _minimize(dfa, start: int = 0):
         by_letter = defaultdict(list)  # a DFA: each list holds a source once
         for t in work.pop():
             for sym, q in pred[t]:
-                by_letter[sym].append(q)
+                if len(blocks[block_of[q]]) > 1:  # a singleton never splits
+                    by_letter[sym].append(q)
         for sources in by_letter.values():
+            if len(sources) == 1:  # split off directly, no grouping
+                q = sources[0]
+                block = blocks[block_of[q]]
+                if len(block) > 1:  # earlier letters may have left q alone
+                    block.discard(q)
+                    block_of[q] = len(blocks)
+                    blocks.append({q})
+                    work.append((q,))
+                continue
             touched = defaultdict(list)
             for q in sources:
                 touched[block_of[q]].append(q)
@@ -571,10 +584,9 @@ def _minimize(dfa, start: int = 0):
                 if 2 * len(inside) > len(block):
                     inside = block.difference(inside)
                 block.difference_update(inside)
-                new_bid = len(blocks)
-                blocks.append(set(inside))
                 for q in inside:
-                    block_of[q] = new_bid
+                    block_of[q] = len(blocks)
+                blocks.append(set(inside))
                 work.append(tuple(inside))
     repr_of = {block: q for q, block in enumerate(block_of)}
     order = [block_of[start]]
@@ -598,12 +610,12 @@ def _minimize(dfa, start: int = 0):
 
 
 def _minimal(a: Automaton, budget: Optional[int] = None):
-    """The canonical minimal flat DFA of L(a): trim, then the subset
-    construction only when the input is nondeterministic, then minimize."""
-    a = trim(a)
-    if not a.deterministic:
-        return _minimize(_subsets(a, budget))
-    return _minimize(_flat(a), min(a.initials))
+    """The canonical minimal flat DFA of L(a).  A DFA is minimized as it is,
+    untrimmed, since :func:`_minimize` drops dead states in its backward pass
+    and never numbers an unreachable one; an NFA is trimmed, then determinized."""
+    if a.deterministic:
+        return _minimize(_flat(a), min(a.initials))
+    return _minimize(_subsets(trim(a), budget))
 
 
 def minimal_dfa(a: Automaton, budget: Optional[int] = None) -> Automaton:

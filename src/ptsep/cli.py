@@ -149,6 +149,7 @@ def cmd_analyze(args) -> int:
         return 0
     if result.status == "infinite_tower":
         return 1
+    print(f"error: no verdict within {args.max_steps} chain steps (--max-steps)", file=sys.stderr)
     return 2
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .automata import (
@@ -347,8 +348,9 @@ def build_separator(alphabet, downs) -> Automaton:
     # Misses L0: w in L0 n down(R_j) is in L_{j+1}, so in down(L_{j+1}).
     # PT: down-closed languages are PT and PT is closed under Boolean ops.
     m = len(alphabet)
-    level = [_complement(m, _meet(down_r, _complement(m, down_l))) for down_r, down_l in downs]
-    while len(level) > 1:
-        carry = level[-1:] if len(level) % 2 else []
-        level = [_meet(a, b) for a, b in zip(level[::2], level[1::2])] + carry
-    return _automaton(alphabet, _minimize(_complement(m, level[0])))
+    level = (_complement(m, _meet(down_r, _complement(m, down_l))) for down_r, down_l in downs)
+    while True:  # each pair is met as soon as both exist, so few complements live at once
+        pairs = iter(level)
+        level = [a if b is None else _meet(a, b) for a, b in zip_longest(pairs, pairs)]
+        if len(level) < 2:
+            return _automaton(alphabet, _minimize(_complement(m, level[0])))

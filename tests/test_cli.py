@@ -64,9 +64,11 @@ def test_analyze_max_steps_zero_undecided(tmp_path, capsys):
     save_automaton(inst.left, pa)
     save_automaton(inst.right, pb)
     code = main(["analyze", str(pa), str(pb), "--max-steps", "0", "--json"])
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     assert code == 2
     assert report["verdict"] == "undecided"
+    assert captured.err == "error: no verdict within 0 chain steps (--max-steps)\n"
 
 
 @pytest.mark.parametrize("option", ["--max-steps", "--witness-height", "--budget"])
