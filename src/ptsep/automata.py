@@ -533,9 +533,7 @@ def _minimize(dfa, start: int = 0):
     its smaller half, as in the complete case.  A splitter is read through
     the inverse of the live moves, grouped by letter, so a pass costs the
     moves into the splitter.  A source in a singleton block is skipped: a
-    singleton never splits.  A letter's lone source is split off its block
-    directly: it is that block's whole part under the letter, and as a
-    singleton the smaller half.  Blocks are numbered in BFS order from the
+    singleton never splits.  Blocks are numbered in BFS order from the
     block of ``start``, letters in alphabet order, so language-equal inputs
     give identical output, and an unreachable state is never numbered."""
     n, succ, finals = dfa
@@ -565,15 +563,6 @@ def _minimize(dfa, start: int = 0):
                 if len(blocks[block_of[q]]) > 1:  # a singleton never splits
                     by_letter[sym].append(q)
         for sources in by_letter.values():
-            if len(sources) == 1:  # split off directly, no grouping
-                q = sources[0]
-                block = blocks[block_of[q]]
-                if len(block) > 1:  # earlier letters may have left q alone
-                    block.discard(q)
-                    block_of[q] = len(blocks)
-                    blocks.append({q})
-                    work.append((q,))
-                continue
             touched = defaultdict(list)
             for q in sources:
                 touched[block_of[q]].append(q)
@@ -584,9 +573,10 @@ def _minimize(dfa, start: int = 0):
                 if 2 * len(inside) > len(block):
                     inside = block.difference(inside)
                 block.difference_update(inside)
-                for q in inside:
-                    block_of[q] = len(blocks)
+                new_bid = len(blocks)
                 blocks.append(set(inside))
+                for q in inside:
+                    block_of[q] = new_bid
                 work.append(tuple(inside))
     repr_of = {block: q for q, block in enumerate(block_of)}
     order = [block_of[start]]

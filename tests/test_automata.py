@@ -23,7 +23,7 @@ from ptsep import (
     normalize_alphabets,
     trim,
 )
-from ptsep.automata import fold_reachable
+from ptsep.automata import _reachable, fold_reachable
 from conftest import (
     accepted_set,
     all_words,
@@ -172,6 +172,41 @@ def sparse_dfa(rng, letters, complete=False, max_states=8):
     return Automaton(n, alphabet, {rng.randrange(n)}, finals, triples, True)
 
 
+def untrimmed_dfa(rng):
+    """A random partial DFA that is not trim: 20 to 300 states over 2 to 100
+    letters, with states times letters at most 3000 so that the completion
+    the Moore oracle builds stays small.  A live part hangs off the initial
+    state by a random tree plus a few moves per state; some live states then
+    copy the row and finality of another, so the minimal DFA merges them.
+    Dead states move only among themselves, in cycles, and live states move
+    into them.  Unreachable states move anywhere, into the reachable part
+    too, and nothing moves into them."""
+    letters = rng.randint(2, 100)
+    n = rng.randint(20, min(300, 3000 // letters))
+    states = list(range(n))
+    rng.shuffle(states)
+    dead = states[:rng.randint(0, n // 4)]
+    unreachable = states[len(dead):len(dead) + rng.randint(0, n // 4)]
+    live = states[len(dead) + len(unreachable):]
+    succ = {q: {} for q in states}
+    for i, q in enumerate(live[1:], 1):
+        succ[live[rng.randrange(i)]][rng.randrange(letters)] = q
+    for sources, targets, least, most in ((live, live + dead, 0, 3), (dead, dead, 1, 2),
+                                          (unreachable, states, 0, 3)):
+        for q in sources:
+            for _ in range(rng.randint(least, most)):
+                succ[q][rng.randrange(letters)] = rng.choice(targets)
+    finals = {q for q in live + unreachable if rng.random() < 0.3}
+    for _ in range(rng.randint(0, len(live) // 3)):
+        p, q = rng.sample(live, 2)
+        succ[q] = dict(succ[p])
+        finals.discard(q)
+        if p in finals:
+            finals.add(q)
+    return Automaton(n, tuple(f"x{i}" for i in range(letters)), {live[0]}, finals,
+                     {(q, sym, t) for q, row in succ.items() for sym, t in row.items()}, True)
+
+
 def test_minimize_against_moore_oracle():
     rng = random.Random(17)
     for _ in range(200):
@@ -208,66 +243,18 @@ def test_minimize_against_moore_oracle():
     assert mini.finals == {2}
     assert {(0, 0, 1), (0, 1, 2), (2, 1, 2), (2, 0, 1)} <= mini.transitions
     assert all((1, sym, 1) in mini.transitions for sym in range(len(wide)))
-
-
-def untrimmed_dfa(rng):
-    """A random partial DFA that is not trim: 20 to 300 states over 2 to 100
-    letters, with states times letters at most 3000 so that the completion
-    the Moore oracle builds stays small.  A live part hangs off the initial
-    state by a random tree plus a few moves per state; some live states then copy the row and finality
-    of another, so the minimal DFA merges them.  Dead states move only among
-    themselves, in cycles, and live states move into them.  Unreachable
-    states move anywhere, into the reachable part too, and nothing moves
-    into them."""
-    letters = rng.randint(2, 100)
-    n = rng.randint(20, min(300, 3000 // letters))
-    states = list(range(n))
-    rng.shuffle(states)
-    dead = states[:rng.randint(0, n // 4)]
-    unreachable = states[len(dead):len(dead) + rng.randint(0, n // 4)]
-    live = states[len(dead) + len(unreachable):]
-    succ = {q: {} for q in states}
-    for i, q in enumerate(live[1:], 1):
-        succ[live[rng.randrange(i)]][rng.randrange(letters)] = q
-    for sources, targets, least, most in ((live, live + dead, 0, 3), (dead, dead, 1, 2),
-                                          (unreachable, states, 0, 3)):
-        for q in sources:
-            for _ in range(rng.randint(least, most)):
-                succ[q][rng.randrange(letters)] = rng.choice(targets)
-    finals = {q for q in live + unreachable if rng.random() < 0.3}
-    for _ in range(rng.randint(0, len(live) // 3)):
-        p, q = rng.sample(live, 2)
-        succ[q] = dict(succ[p])
-        finals.discard(q)
-        if p in finals:
-            finals.add(q)
-    return Automaton(n, tuple(f"x{i}" for i in range(letters)), {live[0]}, finals,
-                     {(q, sym, t) for q, row in succ.items() for sym, t in row.items()}, True)
-
-
-def closure(sources, pairs):
-    """The states reachable from ``sources`` along the (source, target) pairs."""
-    seen, frontier = set(sources), set(sources)
-    while frontier:
-        frontier = {t for s, t in pairs if s in frontier} - seen
-        seen |= frontier
-    return seen
-
-
-def test_minimize_untrimmed_inputs_at_scale():
-    # the refinement skips sources in singleton blocks and splits a lone
-    # source off directly; unreachable states are never numbered and dead
-    # ones are dropped, so trimming first changes nothing
-    rng = random.Random(83)
+    # untrimmed inputs at scale: the refinement skips sources in singleton
+    # blocks, unreachable states are never numbered and dead ones are
+    # dropped, so trimming first changes nothing
     both = 0
     for _ in range(300):
         d = untrimmed_dfa(rng)
         got = automaton_to_dict(minimal_dfa(d))
         assert got == moore_minimize(d)
         assert got == automaton_to_dict(minimal_dfa(trim(d)))
-        moves = {(s, t) for s, _, t in d.transitions}
-        reachable = closure(d.initials, moves)
-        useful = closure(d.finals, {(t, s) for s, t in moves})
+        moves = [(s, t) for s, _, t in d.transitions]
+        reachable = _reachable(d.state_count, moves, d.initials)
+        useful = _reachable(d.state_count, [(t, s) for s, t in moves], d.finals)
         both += len(reachable) < d.state_count and len(useful) < d.state_count
     assert both >= 100
 
