@@ -231,29 +231,6 @@ def strongly_connected_components(adj):
     return comps
 
 
-def fold_reachable(adj, vectors):
-    """OR each int vector over reachability in the digraph ``adj``.
-
-    ``adj`` is a list of neighbor lists and every vector holds one int per
-    node.  For each vector the result holds, at q, the OR of its entries at
-    every node reachable from q, q included.  One SCC pass; components are
-    folded in reverse topological order, so a component reads its
-    successors' finished entries and no reachable set is enumerated.
-    """
-    out = [list(vec) for vec in vectors]
-    for comp in strongly_connected_components(adj):
-        sources = set(comp)
-        for q in comp:
-            sources.update(adj[q])
-        for vec in out:
-            acc = 0
-            for v in sources:
-                acc |= vec[v]
-            for q in comp:
-                vec[q] = acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reachability and trimming
 

@@ -439,7 +439,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PtsepError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (PtsepError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug: still exit 2, never a traceback or a verdict code

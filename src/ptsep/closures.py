@@ -47,9 +47,9 @@ def _down_tables(moves):
     maps each letter to the union of reach[t] over the moves q' -> t under
     it with q' in reach[q], and holds only the letters with such a move.
     One pass over the condensation of the silent-move digraph, successors
-    first as in :func:`~ptsep.automata.fold_reachable`: a component ORs in
-    its successors' finished rows, and its own moves' targets lie in it or
-    after it, so no closure is enumerated state by state."""
+    first: a component ORs in its successors' finished rows, and its own
+    moves' targets lie in it or after it, so no closure is enumerated state
+    by state."""
     silent = [list({t for _, t in row} - {q}) for q, row in enumerate(moves)]
     reach = [0] * len(moves)
     move = [None] * len(moves)

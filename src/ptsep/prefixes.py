@@ -181,62 +181,39 @@ def _square_word(parents, key, alphabet) -> tuple:
 
 def find_pattern(a: Automaton, b: Automaton) -> Optional[Pattern]:
     """Deterministic search for a pattern; None when there is no infinite
-    tower of prefixes.  Candidates are scanned in canonical (state id) order
-    so the result is reproducible."""
+    tower of prefixes.  Components are scanned by their least state id, so
+    the result is reproducible.
+
+    One synchronized-square walk per nontrivial component settles it.  For
+    members s and s' of one component, a path from s' to s, taken in both
+    coordinates, leads the square from (s', s') to (s, s), so the walks from
+    all members reach the same pairs.  Hence sigma = tau = the least member
+    fits whenever any member does, and (sigma1, sigma2), x and (tau1, tau2),
+    y are the least left-final and right-final hits of its one walk."""
     labels, adj, starts = _reachable_product(a, b)
-    n = len(labels)
-    has_self_loop = [any(t == v for _, t in adj[v]) for v in range(n)]
-    plain = [sorted({t for _, t in adj[v]}) for v in range(n)]
-    comps = strongly_connected_components(plain)
-
-    left_accepting = {v for v in range(n) if labels[v][0] in a.finals}
-    right_accepting = {v for v in range(n) if labels[v][1] in b.finals}
-
-    for comp in sorted(comps, key=min):
+    plain = [sorted({t for _, t in row}) for row in adj]
+    for comp in sorted(strongly_connected_components(plain), key=min):
         members = sorted(comp)
-        if len(members) == 1 and not has_self_loop[members[0]]:
+        sigma = members[0]
+        if len(members) == 1 and sigma not in plain[sigma]:
             continue
+        walk = _pair_walk(adj, sigma)
         member_set = set(members)
-
-        def fork(anchor, accepting):
-            walk = _pair_walk(adj, anchor)
-            candidates = [
-                (p1, p2) for (p1, p2) in walk
-                if p1 in accepting and p2 in member_set
-            ]
-            if not candidates:
-                return None
-            best = min(candidates)
-            return best, _square_word(walk, best, a.alphabet), walk
-
-        found_sigma = None
-        for sigma in members:
-            got = fork(sigma, left_accepting)
-            if got:
-                found_sigma = (sigma,) + got[:2]
-                break
-        if not found_sigma:
+        inside = [pair for pair in walk if pair[1] in member_set]
+        left = [pair for pair in inside if labels[pair[0]][0] in a.finals]
+        right = [pair for pair in inside if labels[pair[0]][1] in b.finals]
+        if not (left and right):
             continue
-        found_tau = None
-        for tau in members:
-            got = fork(tau, right_accepting)
-            if got:
-                found_tau = (tau,) + got[:2]
-                break
-        if not found_tau:
-            continue
-
-        sigma, (sigma1, sigma2), x = found_sigma
-        tau, (tau1, tau2), y = found_tau
-        u = _bfs_word(adj, starts, sigma, a.alphabet)
-        u1 = _bfs_word(adj, [sigma2], tau, a.alphabet)
-        u2 = _bfs_word(adj, [tau2], sigma, a.alphabet)
-        assert u is not None and u1 is not None and u2 is not None
+        (sigma1, sigma2), (tau1, tau2) = min(left), min(right)
         return Pattern(
             scc=tuple(members),
             sigma=sigma, sigma1=sigma1, sigma2=sigma2,
-            tau=tau, tau1=tau1, tau2=tau2,
-            u=u, x=x, y=y, u1=u1, u2=u2,
+            tau=sigma, tau1=tau1, tau2=tau2,
+            u=_bfs_word(adj, starts, sigma, a.alphabet),
+            x=_square_word(walk, (sigma1, sigma2), a.alphabet),
+            y=_square_word(walk, (tau1, tau2), a.alphabet),
+            u1=_bfs_word(adj, [sigma2], sigma, a.alphabet),
+            u2=_bfs_word(adj, [tau2], sigma, a.alphabet),
             state_pairs=labels,
         )
     return None

@@ -5,8 +5,9 @@ transition graph contains a cycle through at least two distinct states
 (condition 1), or when three distinct states p, q, q' exist with paths from
 p to q and from p to q' inside the graph restricted to the letters that
 self-loop on both q and q' (condition 2).  NFAs are handled by determinizing
-and minimizing first.  Condition 2 reads ancestor sets off
-:func:`~ptsep.automata.fold_reachable` over the reversed restricted graph.
+and minimizing first.  Condition 2 is tested only once condition 1 holds,
+when every component of the graph is one state: the ancestor sets are then
+one forward fold in topological order.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .automata import (
     _minimal,
     bits,
     complete,
-    fold_reachable,
     mask_of,
     strongly_connected_components,
 )
@@ -55,9 +55,12 @@ def _violation(rows) -> Optional[tuple]:
     :func:`~ptsep.automata._completed`)."""
     n = len(rows)
     adj = [sorted(set(row.values()) - {q}) for q, row in enumerate(rows)]
-    for comp in strongly_connected_components(adj):
+    comps = strongly_connected_components(adj)
+    for comp in comps:
         if len(comp) > 1:
             return ("cycle", tuple(sorted(comp)))
+    # every component is one state, listed sinks first
+    order = [q for (q,) in reversed(comps)]
 
     # bitmask of self-looping symbols per state
     loops = [mask_of(sym for sym, t in row.items() if t == q) for q, row in enumerate(rows)]
@@ -68,13 +71,12 @@ def _violation(rows) -> Optional[tuple]:
     def ancestors(gamma: int):
         anc = ancestors_cache.get(gamma)
         if anc is None:
-            # ancestors of q = states reachable from q in the reversed
-            # gamma-restricted graph
-            radj = [[] for _ in range(n)]
-            for sym in bits(gamma):
-                for s, row in enumerate(rows):
-                    radj[row[sym]].append(s)
-            (anc,) = fold_reachable(radj, [[1 << q for q in range(n)]])
+            # the ancestors of q within the gamma-restricted graph, q
+            # included: a state's set is final before its successors read it
+            anc = [1 << q for q in range(n)]
+            for s in order:
+                for sym in bits(gamma):
+                    anc[rows[s][sym]] |= anc[s]
             ancestors_cache[gamma] = anc
         return anc
 

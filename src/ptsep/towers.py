@@ -19,11 +19,10 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
-from typing import Optional, Sequence
+from typing import Optional
 
 from .automata import (
     Automaton,
-    Word,
     _automaton,
     _complement,
     _meet,
@@ -262,19 +261,6 @@ def _superword(dfa, w):
                 return word[::-1]
             queue.append(nxt)
     return None
-
-
-def shortest_word(a: Automaton) -> Optional[Word]:
-    """Shortlex-least accepted word, or None for the empty language."""
-    return shortest_superword_in((), a)
-
-
-def shortest_superword_in(w: Sequence[str], a: Automaton) -> Optional[Word]:
-    """Shortlex-least word of L(a) that has w as a subsequence; None also when
-    w uses a symbol outside a's alphabet."""
-    index = {name: sym for sym, name in enumerate(a.alphabet)}
-    word = _superword(_minimal(a), [index.get(s, -1) for s in w])
-    return None if word is None else tuple(a.alphabet[sym] for sym in word)
 
 
 def materialize_witness(alphabet, l_fix, r_fix, height: int) -> Tower:

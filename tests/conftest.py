@@ -1,8 +1,9 @@
 """Shared helpers: tiny automaton builders, seeded random instances, an
 independent Moore-style minimization used as an oracle for the fast path, and
 reference constructions (down-closure NFA, union, equivalence, self-loop
-letters, the alternation-graph prefix-tower height, the state-set superword
-search) that the package does not need."""
+letters, the PT conditions by plain searches, the alternation-graph
+prefix-tower height, the state-set superword search) that the package does
+not need."""
 from __future__ import annotations
 
 import math
@@ -254,6 +255,47 @@ def self_loop_alphabet(d, q) -> frozenset:
     return frozenset(d.alphabet[sym] for s, sym, t in d.transitions if s == t == q)
 
 
+def pt_violation_reference(rows):
+    """Reference for the PT conditions on the rows of a minimal complete DFA
+    (``rows[q][sym]`` is the target of q on letter id sym), by plain
+    searches.  Returns ("cycle", classes) with every set of at least two
+    mutually reachable states over the moves that leave their state, as
+    sorted tuples; else ("fork", (p, q, q')) for the first pair q < q' in
+    order whose backward searches, over the letters that loop on both, share
+    a state p other than q and q', p the least; else None."""
+    n = len(rows)
+
+    def search(sources, moves):
+        seen, stack = set(sources), list(sources)
+        while stack:
+            for t in moves[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    leaving = [[t for t in row.values() if t != s] for s, row in enumerate(rows)]
+    forward = [search([q], leaving) for q in range(n)]
+    classes = {tuple(sorted(r for r in forward[q] if q in forward[r])) for q in range(n)}
+    cycles = {c for c in classes if len(c) > 1}
+    if cycles:
+        return ("cycle", cycles)
+    loops = [{sym for sym, t in row.items() if t == q} for q, row in enumerate(rows)]
+    for q in range(n):
+        for q2 in range(q + 1, n):
+            gamma = loops[q] & loops[q2]
+            if not gamma:
+                continue
+            back = [[] for _ in range(n)]
+            for s, row in enumerate(rows):
+                for sym in gamma:
+                    back[row[sym]].append(s)
+            common = (search([q], back) & search([q2], back)) - {q, q2}
+            if common:
+                return ("fork", (min(common), q, q2))
+    return None
+
+
 def alternation_height(a, b, budget=None):
     """Reference prefix-tower height: the longest path in the transitive
     alternation graph.  Both inputs become complete DFAs.  Each left-final (X)
@@ -261,7 +303,7 @@ def alternation_height(a, b, budget=None):
     state of the other class that a nonempty word leads to, and a cycle means
     an infinite tower."""
     from ptsep import complete, determinize, trim
-    from ptsep.automata import bits, fold_reachable, mask_of, strongly_connected_components
+    from ptsep.automata import bits, mask_of, strongly_connected_components
 
     da, db = (complete(x) if x.deterministic else determinize(trim(x), budget)
               for x in (a, b))
@@ -285,7 +327,18 @@ def alternation_height(a, b, budget=None):
     nodes = [v for v in range(len(labels)) if in_x[v] or in_y[v]]
     if not nodes:
         return 0
-    (reach,) = fold_reachable(succ, [[1 << v for v in range(len(labels))]])
+    # reach[v]: the states reachable from v, v included, swept to a fixpoint
+    reach = [1 << v for v in range(len(labels))]
+    changed = True
+    while changed:
+        changed = False
+        for v in reversed(range(len(labels))):
+            acc = reach[v]
+            for t in succ[v]:
+                acc |= reach[t]
+            if acc != reach[v]:
+                reach[v] = acc
+                changed = True
     x_mask = mask_of(v for v in nodes if in_x[v])
     y_mask = mask_of(v for v in nodes if in_y[v])
     node_index = {v: i for i, v in enumerate(nodes)}
@@ -307,7 +360,7 @@ def alternation_height(a, b, budget=None):
 
 
 def shortest_superword(w, a):
-    """Reference for towers.shortest_superword_in: a breadth-first search over
+    """Reference for towers._superword: a breadth-first search over
     (state set of a, length of the prefix of w matched greedily), letters in
     alphabet order, straight on the NFA."""
     w = tuple(w)

@@ -23,7 +23,7 @@ from ptsep import (
     normalize_alphabets,
     trim,
 )
-from ptsep.automata import _reachable, fold_reachable
+from ptsep.automata import _reachable
 from conftest import (
     accepted_set,
     all_words,
@@ -412,31 +412,3 @@ def test_json_schema_errors(doc, fragment):
     with pytest.raises(SchemaError) as err:
         automaton_from_dict(doc)
     assert fragment in str(err.value)
-
-
-def test_fold_reachable_matches_bfs():
-    """Each folded entry is the OR over a BFS of the nodes reachable from
-    it; the digraphs include self-loops, cycles and isolated nodes."""
-    rng = random.Random(5)
-    for trial in range(300):
-        n = trial % 13
-        adj = [[] for _ in range(n)]
-        for _ in range(rng.randrange(2 * n + 1)):
-            src = rng.randrange(n)
-            adj[src].append(rng.choice([src, rng.randrange(n)]))
-        vectors = [[rng.randrange(16) for _ in range(n)] for _ in range(3)]
-        vectors.append([1 << q for q in range(n)])
-        folded = fold_reachable(adj, vectors)
-        for q in range(n):
-            seen = {q}
-            stack = [q]
-            while stack:
-                for t in adj[stack.pop()]:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            for vec, out in zip(vectors, folded):
-                want = 0
-                for v in seen:
-                    want |= vec[v]
-                assert out[q] == want

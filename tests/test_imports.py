@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every function
-reads each of its parameters, and every public name is reached by the
-command line, by the benchmark workloads, or by a short list of kept names.
+reads each of its parameters, and every top-level name, public or not, is
+reached by the command line, by the benchmark workloads, or by a short list
+of kept names.
 
 Neither pyflakes nor ruff is a dependency, so this parses the sources with
 ``ast`` and compares the imported names and the parameters against the names
@@ -166,11 +167,12 @@ def _reads(module: str, source: str):
 
 
 def reach(sources: dict, bench_sources, roots):
-    """(exports, reached): the public names of the package, from the module
-    sources ``{module: source}`` with ``__init__`` among them, and every
-    (module, name) reached from ``roots`` (public names or (module, name)
-    pairs) and from the ``ptsep.name`` and ``ptsep.module.name`` reads of
-    ``bench_sources``.  A name read only inside its own definition is not
+    """(exports, defined, reached): the public names of the package, from the
+    module sources ``{module: source}`` with ``__init__`` among them; the
+    (module, name) of every top-level definition outside ``__init__``; and
+    every (module, name) reached from ``roots`` (public names or (module,
+    name) pairs) and from the ``ptsep.name`` and ``ptsep.module.name`` reads
+    of ``bench_sources``.  A name read only inside its own definition is not
     reached."""
     exports, graph = {}, {}
     for module, source in sources.items():
@@ -194,13 +196,21 @@ def reach(sources: dict, bench_sources, roots):
         if key not in reached:
             reached.add(key)
             todo.extend(graph.get(key, ()))
-    return exports, reached
+    defined = {key for key in graph if key[0] != "__init__"}
+    return exports, defined, reached
 
 
 def unreached(sources: dict, bench_sources, roots=(("cli", "main"),)):
     """Public names that nothing reached from ``roots`` and the benchmark."""
-    exports, reached = reach(sources, bench_sources, roots)
+    exports, _, reached = reach(sources, bench_sources, roots)
     return sorted(name for name, key in exports.items() if key not in reached)
+
+
+def unreached_definitions(sources: dict, bench_sources, roots=(("cli", "main"),)):
+    """(module, name) of every top-level function, class or constant that
+    nothing reached from ``roots`` and the benchmark, public or not."""
+    _, defined, reached = reach(sources, bench_sources, roots)
+    return sorted(defined - reached)
 
 
 def test_reach_detector_on_a_snippet():
@@ -228,6 +238,26 @@ def test_reach_detector_on_a_snippet():
     sources["cli"] = sources["cli"].replace("split(set(), set())", "other()")
     assert unreached(sources, []) == ["minus", "split"]
 
+    sources = {
+        "__init__": "from .automata import split\n__version__ = '0'\n",
+        "automata": "LIMIT = 3\n"
+                    "UNUSED = 4\n"
+                    "def _grow(x):\n"
+                    "    return _grow(x + 1)\n"
+                    "def _head(block):\n"
+                    "    return min(block, default=LIMIT)\n"
+                    "def split(block, x):\n"
+                    "    return _head(block), x\n",
+        "cli": "from .automata import split\n"
+               "def main():\n"
+               "    return split(set(), 1)\n",
+    }
+    # a private helper or a constant that nothing reaches is dead even though
+    # it is not exported; ``__init__`` holds only re-exports and metadata
+    assert unreached(sources, []) == []
+    assert unreached_definitions(sources, []) == [("automata", "UNUSED"), ("automata", "_grow")]
+    assert unreached_definitions(sources, ["ptsep.automata._grow(0)"]) == [("automata", "UNUSED")]
+
 
 def _package_sources():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
@@ -240,8 +270,13 @@ def test_every_public_name_is_reached():
     assert unreached(sources, bench, roots=[("cli", "main"), *KEPT]) == []
 
 
+def test_every_top_level_name_is_reached():
+    sources, bench = _package_sources()
+    assert unreached_definitions(sources, bench, roots=[("cli", "main"), *KEPT]) == []
+
+
 def test_kept_names_are_not_reached_otherwise():
     sources, bench = _package_sources()
-    exports, _ = reach(sources, bench, roots=())
+    exports, _, _ = reach(sources, bench, roots=())
     assert set(KEPT) <= set(exports)
     assert set(KEPT) - set(unreached(sources, bench)) == set()

@@ -8,6 +8,7 @@ import pytest
 from ptsep import (
     Automaton,
     brute_max_tower_height,
+    check_tower,
     determinize,
     find_pattern,
     gen_2exp,
@@ -128,6 +129,13 @@ def test_singleton_pair_heights():
     assert max_prefix_tower_height(odd, even) == math.inf
 
 
+def assert_pattern_tower(a, b, pattern):
+    """The pattern is anchored at the least state of its component, and its
+    materialized tower is a genuine prefix tower."""
+    assert pattern.sigma == pattern.tau == pattern.scc[0]
+    assert check_tower(a, b, materialize_prefix_tower(pattern, 6)) is None
+
+
 def test_agreement_pattern_vs_height_vs_brute(rng):
     agree = 0
     for _ in range(120):
@@ -140,6 +148,7 @@ def test_agreement_pattern_vs_height_vs_brute(rng):
         assert (pattern is not None) == (height == math.inf)
         if pattern is not None:
             assert pattern.state_pairs == tuple(sorted(reachable_pairs(a, b)))
+            assert_pattern_tower(a, b, pattern)
         brute = brute_max_tower_height(a, b, "prefix", max_len=10, budget=4096)
         if height == math.inf:
             assert not brute.exact
@@ -168,7 +177,9 @@ def test_agreement_pattern_vs_height_vs_brute(rng):
             height = max_prefix_tower_height(a, b)
             assert (pattern is not None) == (height == math.inf) == reachable
             assert height == alternation_height(a, b)
-            patterns += pattern is not None
+            if pattern is not None:
+                assert_pattern_tower(a, b, pattern)
+                patterns += 1
             # the longest horizon within 4096 words
             k = len(a.alphabet)
             max_len = max(length for length in range(1, 11)

@@ -1,5 +1,8 @@
 """Piecewise testability: the minimal-DFA conditions, the NFA pipeline, and
-the universality reduction, against a hand-labeled fixture set."""
+the universality reduction, against a hand-labeled fixture set and a
+reference made of plain searches."""
+import random
+
 import pytest
 
 from ptsep import (
@@ -16,7 +19,18 @@ from ptsep import (
     pt_violation,
     complement,
 )
-from conftest import dfa, empty_language, ends_with, literal, self_loop_alphabet, sigma_star, union
+from ptsep.ptcheck import language_pt_violation
+from conftest import (
+    dfa,
+    empty_language,
+    ends_with,
+    literal,
+    pt_violation_reference,
+    random_nfa,
+    self_loop_alphabet,
+    sigma_star,
+    union,
+)
 
 
 def aa_star():
@@ -194,3 +208,36 @@ def test_audit_minimizes_once(monkeypatch):
         calls.clear()
         assert is_piecewise_testable(factory()) == expected
         assert len(calls) == 1, name
+
+
+def random_po_dfa(rng, max_states=8, alphabet=("a", "b", "c")):
+    """A random partially ordered complete DFA: every move of state q goes to
+    a state drawn from q .. n-1, so the only cycles are self-loops."""
+    n = rng.randint(1, max_states)
+    triples = {(q, sym, rng.randint(q, n - 1)) for q in range(n) for sym in alphabet}
+    finals = {q for q in range(n) if rng.random() < 0.5}
+    return Automaton(n, alphabet, {0}, finals, triples, True)
+
+
+def test_violation_matches_plain_search_reference():
+    """The witness on the minimal DFA equals the reference's: a fork exactly,
+    and a cycle as one of its classes of mutually reachable states."""
+    rng = random.Random(9201)
+    forks = cycles = 0
+    for i in range(2400):
+        if i < 2000:
+            a = random_po_dfa(rng)
+        else:
+            a = random_nfa(rng, max_states=4, alphabet=("a", "b", "c")[:rng.randint(1, 3)])
+        d = minimal_dfa(a)
+        rows = [{} for _ in range(d.state_count)]
+        for s, sym, t in d.transitions:
+            rows[s][sym] = t
+        got, want = language_pt_violation(a), pt_violation_reference(rows)
+        if want is not None and want[0] == "cycle":
+            assert got[0] == "cycle" and got[1] in want[1], (a, got, want)
+            cycles += 1
+        else:
+            assert got == want, (a, got, want)
+            forks += got is not None
+    assert forks >= 200 and cycles >= 60
