@@ -699,16 +699,23 @@ def automaton_from_dict(data: dict) -> Automaton:
         raise SchemaError(str(exc)) from None
 
 
-def load_automaton(path) -> Automaton:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            return json.load(handle)
         except ValueError as exc:  # bad JSON, or a file that is not UTF-8
             raise SchemaError(f"{path}: {exc}") from None
-    return automaton_from_dict(data)
+
+
+def _save_json(data, path):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def load_automaton(path) -> Automaton:
+    return automaton_from_dict(_load_json(path))
 
 
 def save_automaton(a: Automaton, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(automaton_to_dict(a), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _save_json(automaton_to_dict(a), path)

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 from . import families, oracles, prefixes, ptcheck, towers
 from .automata import (
+    _load_json,
     _minimal,
+    _save_json,
     automaton_from_dict,
     automaton_to_dict,
     load_automaton,
@@ -80,14 +82,6 @@ def _load_pair(left_path, right_path):
     return normalize_alphabets(left, right)
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except ValueError as exc:  # bad JSON, or a file that is not UTF-8
-            raise SchemaError(f"{path}: {exc}") from None
-
-
 def _load_graph(path):
     """(vertices, edges, s, t) of a graph document, checked field by field."""
     data = _load_json(path)
@@ -111,12 +105,6 @@ def _load_graph(path):
             raise SchemaError(
                 f"edges[{i}]: expected [source, target] with vertices below {n}, got {edge!r}")
     return n, [tuple(e) for e in edges], data["s"], data["t"]
-
-
-def _save_json(data, path):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def cmd_analyze(args) -> int:
@@ -278,7 +266,7 @@ def _parse_range(text: str) -> range:
 
 BENCH_COLUMNS = [
     "family", "param", "left_states", "right_states", "alphabet",
-    "height", "expected_height", "bound", "bound_ok", "ms",
+    "height", "expected_height", "bound", "bound_ok",
 ]
 
 
@@ -288,7 +276,6 @@ def cmd_bench(args) -> int:
     for family in suites:
         params = args.range or _DEFAULT_RANGES[family]
         for param in params:
-            start = time.perf_counter()
             instance = _FAMILIES[family](param)
             ok = towers.verify_tower(instance.left, instance.right, instance.tower)
             if not ok:
@@ -297,7 +284,6 @@ def cmd_bench(args) -> int:
             bound = upper_bound_height(
                 max(instance.left.state_count, instance.right.state_count),
                 len(instance.left.alphabet))
-            elapsed = round((time.perf_counter() - start) * 1000.0, 3)
             rows.append({
                 "family": family,
                 "param": param,
@@ -308,7 +294,6 @@ def cmd_bench(args) -> int:
                 "expected_height": instance.expected_height,
                 "bound": bound,
                 "bound_ok": height <= bound,
-                "ms": elapsed,
             })
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:

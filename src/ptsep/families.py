@@ -498,8 +498,6 @@ class DeterminizationTransform:
     right: Automaton
     left_source: Automaton
     right_source: Automaton
-    left_iota: Optional[int]
-    right_iota: Optional[int]
     letters: dict  # per-state: (tag, target) -> name; else (tag, sym, target) -> name
 
     def p_letter(self, tag: str, sym: str, target: int) -> str:
@@ -598,7 +596,6 @@ def tower_preserving_determinization(a: Automaton, b: Automaton,
     return DeterminizationTransform(
         variant=variant, left=left, right=right,
         left_source=an, right_source=bn,
-        left_iota=a_iota, right_iota=b_iota,
         letters=letters,
     )
 
@@ -642,8 +639,7 @@ def _greedy_embedding(v, w) -> list:
     return positions
 
 
-def transform_tower(transform: DeterminizationTransform, tower: Tower,
-                    paths: Optional[Sequence] = None) -> Tower:
+def transform_tower(transform: DeterminizationTransform, tower: Tower) -> Tower:
     """Carry a tower between the original automata over to the transformed
     pair, slot-aligning all elements to the top word and interleaving the
     fresh letters recorded from each element's accepting path."""
@@ -654,23 +650,9 @@ def transform_tower(transform: DeterminizationTransform, tower: Tower,
 
     state_paths = []
     for i, (word, side) in enumerate(elements):
-        source = transform.source(side)
-        iota = transform.left_iota if side == LEFT else transform.right_iota
-        if paths is not None:
-            path = list(paths[i])
-            if iota is not None and path and path[0] != iota:
-                path[0] = iota
-            if len(path) != len(word) + 1 or path[0] not in source.initials \
-                    or path[-1] not in source.finals:
-                raise ValueError(f"path {i} does not fit its word")
-            trans = source.transitions
-            for k, sym in enumerate(source.word_ids(word)):
-                if (path[k], sym, path[k + 1]) not in trans:
-                    raise ValueError(f"path {i} uses a missing transition at {k}")
-        else:
-            path = find_accepting_path(source, word)
-            if path is None:
-                raise ValueError(f"element {i} is not accepted on its side")
+        path = find_accepting_path(transform.source(side), word)
+        if path is None:
+            raise ValueError(f"element {i} is not accepted on its side")
         state_paths.append(path)
 
     words = [word for word, _ in elements]

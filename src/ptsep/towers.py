@@ -11,13 +11,12 @@ the union over j < b of ``down(R_j) minus down(L_{j+1})`` is a piecewise
 testable separator: it contains R0 and misses L0.  It is built from the
 down-closures that the chain's steps compute: ``decide_separability``
 gathers them while it runs the chain and passes them to
-``build_separator``; the chain keeps none of them.
+``build_separator``.  The chain keeps no languages: its record is the
+verdict, the step count b and the state counts of each step.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import zip_longest
 from typing import Optional
 
@@ -29,6 +28,7 @@ from .automata import (
     _minimal,
     _minimize,
     mask_of,
+    trim,
 )
 from .closures import _down_subsets, is_prefix, is_subsequence
 from .errors import AlphabetMismatch, BudgetExceeded, SchemaError
@@ -137,25 +137,6 @@ def upper_bound_height(n: int, m: int) -> int:
 # empty iff it has no state.
 
 
-def _record(dfa):
-    """A chain language as the chain keeps it: (n, lengths, letters, targets,
-    finals), its moves row by row in arrays.  A dict row takes over 200
-    bytes, and the chain keeps every step."""
-    n, succ, finals = dfa
-    letters, targets = array("i"), array("i")
-    for row in succ:
-        letters.extend(row)
-        targets.extend(row.values())
-    return n, array("i", map(len, succ)), letters, targets, finals
-
-
-def _public(alphabet, record) -> Automaton:
-    """The trimmed minimal automaton of a chain language."""
-    n, lengths, letters, targets, finals = record
-    states = [q for q, k in enumerate(lengths) for _ in range(k)]
-    return Automaton(n, alphabet, {0} if n else (), finals, zip(states, letters, targets), bool(n))
-
-
 def _down(m: int, dfa, budget=None):
     """Canonical minimal flat DFA of down(L) from that of L."""
     n, succ, finals = dfa
@@ -173,49 +154,35 @@ def _refine(m: int, r_prev, l0, r0, budget=None):
 
 
 def refine_step(r_prev: Automaton, l0: Automaton, r0: Automaton, budget=None):
-    """One chain step: (L_k, R_k) from R_{k-1} and the originals.  L_k
-    depends on L0 and R_{k-1} only, so L_{k-1} is not an argument."""
+    """One chain step: (L_k, R_k) from R_{k-1} and the originals, as
+    trimmed minimal automata.  L_k depends on L0 and R_{k-1} only, so
+    L_{k-1} is not an argument."""
     for x in (r_prev, r0):
         if x.alphabet != l0.alphabet:
             raise AlphabetMismatch("refine_step needs one shared alphabet")
     lk, rk, _ = _refine(len(l0.alphabet), *(_minimal(x, budget) for x in (r_prev, l0, r0)),
                         budget)
-    return _public(l0.alphabet, _record(lk)), _public(l0.alphabet, _record(rk))
+    return trim(_automaton(l0.alphabet, lk)), trim(_automaton(l0.alphabet, rk))
 
 
 class RefinementChain:
-    """The decreasing sequence (L_k, R_k) with its verdict.
-
-    The originals are held as canonical minimal flat DFAs, trim and without
-    a sink (see :mod:`ptsep.automata`), in ``flat_originals``; the steps'
-    DFAs are kept in ``flat_steps`` as compact records (see
-    :func:`_record`).  ``originals`` and ``steps`` give them as trimmed
-    minimal automata, built when read; their state counts are the flat
-    DFAs' n.  The down DFAs of the steps are not kept.
+    """The verdict of the decreasing sequence (L_k, R_k), the step b at
+    which it was reached, and ``sizes``: the state counts (|L_k|, |R_k|) of
+    the trimmed minimal DFAs of each step.  The chain keeps no languages;
+    :func:`refine_step` rebuilds any step from the originals.
     """
 
-    def __init__(self, alphabet, originals):
-        self.alphabet = alphabet
-        self.flat_originals = originals
-        self.flat_steps = []
+    def __init__(self):
+        self.sizes = []
         self.verdict = "undecided"  # | "separable" | "infinite_tower"
         self.b_index: Optional[int] = None
-
-    @cached_property
-    def originals(self):
-        return tuple(_public(self.alphabet, _record(d)) for d in self.flat_originals)
-
-    @cached_property
-    def steps(self):
-        return [tuple(_public(self.alphabet, d) for d in step) for step in self.flat_steps]
 
     def to_dict(self) -> dict:
         """Verdict and the trimmed state counts of every step."""
         return {
             "verdict": self.verdict,
             "b_index": self.b_index,
-            "steps": [{"left_states": lk[0], "right_states": rk[0]}
-                      for lk, rk in self.flat_steps],
+            "steps": [{"left_states": nl, "right_states": nr} for nl, nr in self.sizes],
         }
 
 
@@ -293,15 +260,15 @@ def decide_separability(
     if left.alphabet != right.alphabet:
         raise AlphabetMismatch("decide_separability needs one shared alphabet")
     m = len(left.alphabet)
-    chain = RefinementChain(left.alphabet, (_minimal(left, budget), _minimal(right, budget)))
-    previous = chain.flat_originals
+    chain = RefinementChain()
+    originals = previous = (_minimal(left, budget), _minimal(right, budget))
     downs = []  # (down(R_{k-1}), down(L_k)) of each step, for the separator only
     for k in range(1, max_steps + 1):
         try:
-            lk, rk, step_downs = _refine(m, previous[1], *chain.flat_originals, budget)
+            lk, rk, step_downs = _refine(m, previous[1], *originals, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"{exc} at chain step {k}") from None
-        chain.flat_steps.append((_record(lk), _record(rk)))
+        chain.sizes.append((lk[0], rk[0]))
         if with_separator:
             downs.append(step_downs)
         # L_k empty makes R_k = R0 n down(L_k) empty: separable

@@ -288,23 +288,6 @@ def test_determinization_projection_property():
         assert inst.left.accepts(projected)
 
 
-def test_transform_tower_with_explicit_paths():
-    inst = gen_exp(1)
-    tr = tower_preserving_determinization(inst.left, inst.right)
-    paths = []
-    for word, side in inst.tower.elements:
-        source = inst.left if side == "left" else inst.right
-        normalized = tr.left_source if side == "left" else tr.right_source
-        paths.append(find_accepting_path(normalized, word))
-    carried = transform_tower(tr, inst.tower, paths)
-    assert verify_tower(tr.left, tr.right, carried)
-    # inconsistent path errors out
-    bad = list(paths)
-    bad[1] = [0, 0]
-    with pytest.raises(ValueError):
-        transform_tower(tr, inst.tower, bad)
-
-
 def test_transform_tower_edge_cases():
     inst = gen_exp(1)
     tr = tower_preserving_determinization(inst.left, inst.right)

@@ -1,6 +1,8 @@
 """The refinement chain, separator construction, tower verification, and the
 closed-form height bound."""
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -149,11 +151,26 @@ def test_decide_budget_exhaustion_is_explicit():
     assert result.separator is None and result.witness is None
 
 
+def refine_fold(left, right):
+    """The originals and the steps (L_k, R_k) of the chain, as a refine_step
+    fold stopped by decide's rule: at the first empty L_k, or at the first
+    pair equal to the pair before it.  The pair before step 1 is the
+    originals."""
+    originals = previous = tuple(trim(minimal_dfa(x)) for x in (left, right))
+    steps = []
+    while True:
+        step = refine_step(previous[1], left, right)
+        steps.append(step)
+        if step[0].state_count == 0 or [automaton_to_dict(x) for x in step] == [
+                automaton_to_dict(x) for x in previous]:
+            return originals, steps
+        previous = step
+
+
 def test_chain_monotone_decreasing():
     inst = gen_quadratic(6)
-    result = decide_separability(inst.left, inst.right)
-    prev_l, prev_r = result.chain.originals
-    for lk, rk in result.chain.steps:
+    (prev_l, prev_r), steps = refine_fold(inst.left, inst.right)
+    for lk, rk in steps:
         assert includes(prev_l, lk)
         assert includes(prev_r, rk)
         prev_l, prev_r = lk, rk
@@ -167,24 +184,17 @@ def test_chain_monotone_decreasing():
 def test_chain_steps_are_the_refine_step_fold(pair):
     left, right = pair()
     chain = decide_separability(left, right).chain
-    assert [automaton_to_dict(x) for x in chain.originals] == [
-        automaton_to_dict(trim(minimal_dfa(x))) for x in (left, right)]
-    cur_r = right
-    for lk, rk in chain.steps:
-        assert isinstance(lk, Automaton) and isinstance(rk, Automaton)
-        want_l, cur_r = refine_step(cur_r, left, right)
-        assert automaton_to_dict(lk) == automaton_to_dict(want_l)
-        assert automaton_to_dict(rk) == automaton_to_dict(cur_r)
-    assert len(chain.steps) == chain.b_index
+    _, steps = refine_fold(left, right)
+    assert len(steps) == chain.b_index
     assert chain.to_dict()["steps"] == [
         {"left_states": lk.state_count, "right_states": rk.state_count}
-        for lk, rk in chain.steps]
+        for lk, rk in steps]
 
 
 def test_chain_step_counts_are_the_public_state_counts():
     # to_dict reads each count off a trim flat DFA, without a sink; the
-    # public automata are built from the same DFAs, and minimizing and
-    # trimming them again changes nothing
+    # refine_step fold builds the same steps as trimmed minimal automata,
+    # and minimizing and trimming them again changes nothing
     rng = random.Random(9104)
     pairs = [(inst.left, inst.right) for inst in (
         gen_quadratic(6), gen_2exp(2), gen_exp(3), gen_expdfa(3))]
@@ -193,19 +203,38 @@ def test_chain_step_counts_are_the_public_state_counts():
     for left, right in pairs:
         chain = decide_separability(left, right).chain
         verdicts.add(chain.verdict)
+        _, steps = refine_fold(left, right)
         assert chain.to_dict()["steps"] == [
             {"left_states": lk.state_count, "right_states": rk.state_count}
-            for lk, rk in chain.steps]
-        for step in chain.steps:
+            for lk, rk in steps]
+        for step in steps:
             for x in step:
                 assert trim(minimal_dfa(x)).state_count == x.state_count
     assert verdicts == {"separable", "infinite_tower"}
 
 
+def test_chain_keeps_no_languages():
+    # the chain's record is its verdict and step sizes, so a second run
+    # leaves almost nothing allocated; the 31 step DFAs take about 100 kB
+    inst = gen_2exp(3)
+    decide_separability(inst.left, inst.right)  # fills the inputs' caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = decide_separability(inst.left, inst.right)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "separable" and result.chain.b_index == 31
+    assert retained < 50_000
+
+
 def test_fixpoint_is_mutually_embeddable():
     a, b = chain_pair()
-    result = decide_separability(a, b)
-    l_fix, r_fix = result.chain.steps[-1]
+    assert decide_separability(a, b).status == "infinite_tower"
+    _, steps = refine_fold(a, b)
+    l_fix, r_fix = steps[-1]
     assert includes(down_determinize(r_fix), l_fix)
     assert includes(down_determinize(l_fix), r_fix)
 
@@ -229,12 +258,13 @@ def test_separator_trivial_empty_right():
     assert is_empty(result.separator)
 
 
-def reference_separator(chain):
-    """The union of the pieces down(R_j) minus down(L_{j+1}), joined by NFA
-    union and the subset construction, as the separator was first built."""
-    _, r_j = chain.originals
+def reference_separator(left, right):
+    """The union of the pieces down(R_j) minus down(L_{j+1}) over the
+    refine_step fold, joined by NFA union and the subset construction, as
+    the separator was first built."""
+    (_, r_j), steps = refine_fold(left, right)
     acc = None
-    for l_next, r_next in chain.steps[: chain.b_index]:
+    for l_next, r_next in steps:
         down_r = minimal_dfa(down_determinize(r_j))
         down_l = minimal_dfa(down_determinize(l_next))
         r_j = r_next
@@ -254,7 +284,7 @@ def test_separator_matches_reference_on_families(family, param, states):
     result = decide_separability(inst.left, inst.right, with_separator=True)
     assert result.status == "separable"
     assert result.separator.state_count == states
-    reference = reference_separator(result.chain)
+    reference = reference_separator(inst.left, inst.right)
     assert automaton_to_dict(result.separator) == automaton_to_dict(reference)
 
 
@@ -269,7 +299,7 @@ def test_separator_matches_reference_on_random_pairs():
         result = decide_separability(a, b, with_separator=True)
         if result.status != "separable":
             continue
-        reference = reference_separator(result.chain)
+        reference = reference_separator(a, b)
         assert automaton_to_dict(result.separator) == automaton_to_dict(reference)
         compared += 1
         multi_piece += result.chain.b_index >= 2
