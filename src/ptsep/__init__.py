@@ -24,7 +24,6 @@ from .errors import (
     BudgetExceeded,
     InvalidWord,
     NotDeterministic,
-    NotMinimal,
     PtsepError,
     SchemaError,
 )
@@ -48,14 +47,13 @@ from .families import (
 )
 from .oracles import TowerSearch, brute_max_tower_height, enumerate_language, reachability
 from .prefixes import Pattern, find_pattern, materialize_prefix_tower, max_prefix_tower_height
-from .ptcheck import is_piecewise_testable, pt_violation
+from .ptcheck import is_piecewise_testable
 from .towers import (
     RefinementChain,
     SeparationResult,
     Tower,
     check_tower,
     decide_separability,
-    refine_step,
     upper_bound_height,
     verify_tower,
 )

@@ -21,9 +21,5 @@ class NotDeterministic(PtsepError):
     """Operation requires a deterministic automaton."""
 
 
-class NotMinimal(PtsepError):
-    """Operation requires a minimal DFA."""
-
-
 class SchemaError(PtsepError):
     """Malformed JSON input; the message carries the offending location."""

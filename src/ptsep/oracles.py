@@ -15,6 +15,7 @@ from .automata import Automaton
 from .errors import BudgetExceeded
 
 ENUM_BUDGET = 2_000_000
+HEIGHT_CAP = 1_000_000  # the height reported for an unbounded tower
 
 
 class TowerSearch(NamedTuple):
@@ -30,11 +31,17 @@ class TowerSearch(NamedTuple):
 
 
 def _check_enumeration_budget(alphabet_size: int, max_len: int, budget: Optional[int]):
+    """Raise BudgetExceeded past ``budget`` words of length <= max_len, counting no further."""
     budget = budget if budget is not None else ENUM_BUDGET
-    total = sum(alphabet_size ** i for i in range(max_len + 1))
+    total = power = 1
+    for _ in range(max_len):
+        power *= alphabet_size
+        total += power
+        if total > budget:
+            break
     if total > budget:
         raise BudgetExceeded(
-            f"enumerating {total} words exceeds budget of {budget}")
+            f"enumerating words up to length {max_len} means more than {budget} words")
 
 
 def enumerate_language(a: Automaton, max_len: int, budget: Optional[int] = None) -> list:
@@ -81,7 +88,6 @@ def brute_max_tower_height(
     relation: str = "subsequence",
     max_len: int = 8,
     budget: Optional[int] = None,
-    height_cap: int = 1_000_000,
 ) -> TowerSearch:
     """Longest alternating tower over all words of length <= max_len.
 
@@ -89,7 +95,7 @@ def brute_max_tower_height(
     ending on either side are propagated from w's one-letter-shorter
     predecessors, which covers every strict relation step.  A word accepted
     by both automata yields the unbounded tower w, w, w, ... and is reported
-    as at_least(height_cap).  The height found is always a sound lower
+    as at_least(HEIGHT_CAP).  The height found is always a sound lower
     bound: it is the height of a tower of enumerated words.
 
     For prefixes the answer is exact when every word w of length max_len
@@ -125,7 +131,7 @@ def brute_max_tower_height(
                 sets[word] = (sa and a.step(sa, word[-1]), sb and b.step(sb, word[-1]))
             sa, sb = sets[word]
             if sa & fa and sb & fb:
-                return TowerSearch(height_cap, False)
+                return TowerSearch(HEIGHT_CAP, False)
             if relation == "prefix":
                 prop_a, prop_b = best[word[:-1]] if word else (0, 0)
             else:

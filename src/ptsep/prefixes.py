@@ -82,9 +82,6 @@ class Pattern:
     u2: Word
     state_pairs: tuple  # reachable-product id -> (left, right), in pair order
 
-    def pair(self, pid: int):
-        return self.state_pairs[pid]
-
     def to_dict(self) -> dict:
         def pair(pid):
             return list(self.state_pairs[pid])

@@ -16,37 +16,19 @@ from typing import Optional
 from .automata import (
     Automaton,
     _completed,
-    _flat,
     _minimal,
     bits,
-    complete,
     mask_of,
     strongly_connected_components,
 )
-from .errors import NotDeterministic, NotMinimal
-
-
-def pt_violation(d: Automaton) -> Optional[tuple]:
-    """First violated condition of a minimal complete DFA, or None when the
-    language is piecewise testable.
-
-    Returns ("cycle", states) for a non-self-loop cycle, or
-    ("fork", (p, q, q')) for a common ancestor reaching two distinct states
-    inside the shared self-loop subgraph.  Raises NotMinimal when ``d``,
-    completed, is not minimal.
-    """
-    if not d.deterministic:
-        raise NotDeterministic("piecewise testability test expects a DFA")
-    n, succ, _ = _flat(complete(d))
-    minimal = _completed(len(d.alphabet), _minimal(d))[0]
-    if minimal != n:
-        raise NotMinimal(f"automaton has {n} states but its minimal DFA has {minimal}")
-    return _violation(succ)
 
 
 def language_pt_violation(a: Automaton, budget=None) -> Optional[tuple]:
-    """:func:`pt_violation` of the minimal DFA of L(a), which is built once:
-    a DFA input reaches it without the subset construction."""
+    """First violated PT condition of the minimal complete DFA of L(a), which
+    is built once, or None when L(a) is piecewise testable: ("cycle", states)
+    for a non-self-loop cycle, or ("fork", (p, q, q')) for a common ancestor
+    reaching two distinct states inside the shared self-loop subgraph, in
+    the state numbering of ``minimal_dfa(a)``."""
     return _violation(_completed(len(a.alphabet), _minimal(a, budget))[1])
 
 

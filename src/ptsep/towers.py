@@ -28,7 +28,6 @@ from .automata import (
     _minimal,
     _minimize,
     mask_of,
-    trim,
 )
 from .closures import _down_subsets, is_prefix, is_subsequence
 from .errors import AlphabetMismatch, BudgetExceeded, SchemaError
@@ -153,23 +152,10 @@ def _refine(m: int, r_prev, l0, r0, budget=None):
     return lk, _meet(r0, down_l), (down_r, down_l)
 
 
-def refine_step(r_prev: Automaton, l0: Automaton, r0: Automaton, budget=None):
-    """One chain step: (L_k, R_k) from R_{k-1} and the originals, as
-    trimmed minimal automata.  L_k depends on L0 and R_{k-1} only, so
-    L_{k-1} is not an argument."""
-    for x in (r_prev, r0):
-        if x.alphabet != l0.alphabet:
-            raise AlphabetMismatch("refine_step needs one shared alphabet")
-    lk, rk, _ = _refine(len(l0.alphabet), *(_minimal(x, budget) for x in (r_prev, l0, r0)),
-                        budget)
-    return trim(_automaton(l0.alphabet, lk)), trim(_automaton(l0.alphabet, rk))
-
-
 class RefinementChain:
     """The verdict of the decreasing sequence (L_k, R_k), the step b at
     which it was reached, and ``sizes``: the state counts (|L_k|, |R_k|) of
-    the trimmed minimal DFAs of each step.  The chain keeps no languages;
-    :func:`refine_step` rebuilds any step from the originals.
+    the trimmed minimal DFAs of each step.  The chain keeps no languages.
     """
 
     def __init__(self):

@@ -1,9 +1,9 @@
 """Shared helpers: tiny automaton builders, seeded random instances, an
 independent Moore-style minimization used as an oracle for the fast path, and
-reference constructions (down-closure NFA, union, equivalence, self-loop
-letters, the PT conditions by plain searches, the alternation-graph
-prefix-tower height, the state-set superword search) that the package does
-not need."""
+reference constructions (down-closure NFA, the refinement chain by its
+definition, union, equivalence, self-loop letters, the PT conditions by plain
+searches, the alternation-graph prefix-tower height, the state-set superword
+search) that the package does not need."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from ptsep import Automaton, Circuit, Gate
+from ptsep import Automaton, Circuit, Gate, automaton_to_dict, intersection, minimal_dfa, trim
 
 
 def dfa(alphabet, transitions, initial, finals, states=None):
@@ -228,6 +228,31 @@ def down_closure(a):
         if closure & a.finals:
             finals.add(q)
     return Automaton(a.state_count, a.alphabet, a.initials, finals, transitions)
+
+
+def chain_reference(left, right):
+    """The refinement chain by its definition: L_k = L0 n down(R_{k-1}) and
+    R_k = R0 n down(L_k), with R_0 = R0, each the trimmed minimal DFA of an
+    intersection with the minimal DFA of a :func:`down_closure`.  It stops
+    by decide's rule: at the first empty L_k, or at the first pair equal to
+    the pair before it (before step 1, the originals).  Returns (originals,
+    steps, downs): the trimmed minimal L0 and R0, the pairs (L_k, R_k), and
+    each step's minimal DFAs (down(R_{k-1}), down(L_k))."""
+    def meet(base, other):
+        down = minimal_dfa(down_closure(other))
+        return trim(minimal_dfa(intersection(base, down))), down
+
+    l0, r0 = originals = previous = tuple(trim(minimal_dfa(x)) for x in (left, right))
+    steps, downs = [], []
+    while True:
+        lk, down_r = meet(l0, previous[1])
+        rk, down_l = meet(r0, lk)
+        steps.append((lk, rk))
+        downs.append((down_r, down_l))
+        if lk.state_count == 0 or [automaton_to_dict(x) for x in (lk, rk)] == [
+                automaton_to_dict(x) for x in previous]:
+            return originals, steps, downs
+        previous = (lk, rk)
 
 
 def union(a, b):

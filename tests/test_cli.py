@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file round-trips, report determinism."""
 import json
 import os
+import random
 
 import pytest
 
@@ -492,3 +493,91 @@ def test_missing_file_exit_code(capsys):
     code = main(["pt-check", "/nonexistent/path.json"])
     assert code == 2
     capsys.readouterr()
+
+
+def _paths(doc, path=()):
+    """The path of every node of a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def mutate(rng, doc):
+    """A copy of the document with one node changed: its key dropped, its
+    list truncated, or its value swapped for a wrong type, null, a bool, or
+    a negative or small int (at most 50, so no run allocates much per
+    state)."""
+    doc = json.loads(json.dumps(doc))
+    path = rng.choice(list(_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]] if path else doc
+    kinds = ["type", "null", "bool", "negative", "small"]
+    kinds += ["drop"] * bool(path) + ["truncate"] * bool(isinstance(value, list) and value)
+    kind = rng.choice(kinds)
+    if kind == "drop":
+        del parent[path[-1]]
+        return doc
+    if kind == "truncate":
+        del value[rng.randrange(len(value)):]
+        return doc
+    new = {"type": rng.choice(["x", 1.5, [], {}]), "null": None,
+           "bool": rng.random() < 0.5, "negative": -rng.randint(1, 50),
+           "small": rng.randint(0, 50)}[kind]
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return doc
+
+
+def test_mutated_documents_exit_0_1_or_2(tmp_path, capsys):
+    # every exit code of a mutated automaton, tower, graph or circuit
+    # document is a verdict or an error, and no error is internal
+    rng = random.Random(4242)
+    inst = gen_exp(1)
+    good = {"left": automaton_to_dict(inst.left), "right": automaton_to_dict(inst.right),
+            "tower": inst.tower.to_dict(),
+            "graph": {"vertices": 3, "edges": [[0, 1], [1, 2]], "s": 0, "t": 2},
+            "circuit": {"gates": [{"kind": "ZERO"}, {"kind": "ONE"},
+                                  {"kind": "AND", "left": 1, "right": 2},
+                                  {"kind": "OR", "left": 3, "right": 2}]}}
+    paths = {name: str(tmp_path / f"{name}.json") for name in (*good, "bad")}
+    for name, doc in good.items():
+        write_json(paths[name], doc)
+    left, right, tower, bad = (paths[n] for n in ("left", "right", "tower", "bad"))
+    out = str(tmp_path / "out")
+    commands = {
+        "automaton": [
+            ["pt-check", bad, "--json", "--budget", "2000"],
+            ["analyze", bad, right, "--json", "--budget", "2000"],
+            ["analyze", left, bad, "--budget", "2000", "--max-steps", "50"],
+            ["prefix-analyze", bad, right, "--json", "--budget", "2000"],
+            ["oracle", "enumerate", bad, "--max-len", "3"],
+            ["oracle", "tower", left, bad, "--max-len", "3", "--budget", "2000"],
+            ["reduce", "--kind", "universality", "--input", bad, "--out-dir", out],
+            ["verify-tower", bad, right, tower],
+        ],
+        "tower": [["verify-tower", left, right, bad]],
+        "graph": [["oracle", "reach", bad],
+                  ["reduce", "--kind", "reach", "--input", bad, "--out-dir", out]],
+        "circuit": [["reduce", "--kind", "mcvp", "--input", bad, "--out-dir", out]],
+    }
+    sources = {"automaton": [good["left"], good["right"]], "tower": [good["tower"]],
+               "graph": [good["graph"]], "circuit": [good["circuit"]]}
+    codes = {kind: set() for kind in commands}
+    for kind, argvs in commands.items():
+        for _ in range(120):
+            doc = rng.choice(sources[kind])
+            for _ in range(rng.randint(1, 2)):
+                doc = mutate(rng, doc)
+            write_json(bad, doc)
+            argv = rng.choice(argvs)
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, doc, code)
+            assert "internal:" not in err, (argv, doc, err)
+            assert code != 2 or err.startswith("error: "), (argv, doc, err)
+            codes[kind].add(code)
+    assert all(2 in seen and seen & {0, 1} for seen in codes.values()), codes

@@ -27,7 +27,6 @@ from ptsep import (
     transform_tower,
     verify_tower,
 )
-from ptsep.families import find_accepting_path as fap  # noqa: F401  (alias check)
 from ptsep.towers import Tower
 from conftest import accepted_set, equivalent
 

@@ -1,6 +1,7 @@
 """The brute-force reference layer itself: enumeration order, budget errors,
 and the bounded tower search."""
 import random
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from ptsep import (
     reachability,
     upper_bound_height,
 )
+from ptsep.oracles import HEIGHT_CAP
 from conftest import empty_language, ends_with, literal, random_nfa
 
 
@@ -37,8 +39,18 @@ def test_enumerate_exp_left():
 
 
 def test_enumerate_budget():
+    ends_b = ends_with("b", ("a", "b"))
     with pytest.raises(BudgetExceeded):
-        enumerate_language(ends_with("b", ("a", "b")), 10, budget=100)
+        enumerate_language(ends_b, 10, budget=100)
+    # the word count is summed only until it passes the budget, so a huge
+    # max_len fails at once instead of summing 2**i for every i up to it
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="^enumerating words up to length 1000000 "
+                                             "means more than 2000000 words$"):
+        enumerate_language(ends_b, 10**6)
+    with pytest.raises(BudgetExceeded, match="more than 100 words$"):
+        brute_max_tower_height(ends_b, ends_b, "prefix", 10**6, budget=100)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_brute_tower_simple_pair():
@@ -59,8 +71,8 @@ def test_brute_tower_exp1():
 
 def test_brute_tower_shared_word_unbounded():
     k = literal(("a",), ("a",))
-    result = brute_max_tower_height(k, k, "subsequence", 3, height_cap=999)
-    assert result == (999, False)
+    result = brute_max_tower_height(k, k, "subsequence", 3)
+    assert result == (HEIGHT_CAP, False)
 
 
 def test_brute_tower_prefix_relation():

@@ -94,9 +94,9 @@ def test_pattern_for_true_circuit():
 def test_pattern_sides():
     left, right = gen_reachability(2, [(0, 1)], 0, 1)
     pattern = find_pattern(left, right)
-    pa, pb = pattern.pair(pattern.sigma1)
+    pa, pb = pattern.state_pairs[pattern.sigma1]
     assert pa in left.finals
-    pa, pb = pattern.pair(pattern.tau1)
+    pa, pb = pattern.state_pairs[pattern.tau1]
     assert pb in right.finals
     # product states are numbered in sorted pair order
     assert pattern.state_pairs == tuple(sorted(reachable_pairs(left, right)))

@@ -8,7 +8,7 @@ import pytest
 from ptsep import (
     Automaton,
     NotDeterministic,
-    NotMinimal,
+    complete,
     determinize,
     gen_exp,
     gen_quadratic,
@@ -16,7 +16,6 @@ from ptsep import (
     intersection,
     is_piecewise_testable,
     minimal_dfa,
-    pt_violation,
     complement,
 )
 from ptsep.ptcheck import language_pt_violation
@@ -58,8 +57,8 @@ def test_self_loop_alphabet_quadratic_right():
 
 
 def test_condition_one_cycle():
-    assert pt_violation(aa_star()) is not None
-    kind, states = pt_violation(aa_star())
+    assert language_pt_violation(aa_star()) is not None
+    kind, states = language_pt_violation(aa_star())
     assert kind == "cycle"
     assert set(states) == {0, 1}
 
@@ -78,30 +77,26 @@ def test_condition_two_fork():
         0,
         {1, 2},
     )
-    mini = minimal_dfa(d)
-    violation = pt_violation(mini)
+    violation = language_pt_violation(d)
     assert violation is not None and violation[0] == "fork"
     assert not is_piecewise_testable(d)
 
 
 def test_minimal_dfa_guards():
     with pytest.raises(NotDeterministic):
-        pt_violation(Automaton(2, ("a",), {0, 1}, {0}, set()))
-    redundant = dfa(("a",), {0: {"a": 1}, 1: {"a": 1}}, 0, {0, 1})
-    with pytest.raises(NotMinimal):
-        pt_violation(redundant)
+        complete(Automaton(2, ("a",), {0, 1}, {0}, set()))
 
 
 def test_exp_left_languages_are_pt():
     for m in range(4):
         inst = gen_exp(m)
         assert is_piecewise_testable(inst.left)
-        assert pt_violation(minimal_dfa(determinize(inst.left))) is None
+        assert language_pt_violation(determinize(inst.left)) is None
 
 
 def test_trivial_minimal_dfas_are_pt():
     just_eps = minimal_dfa(determinize(literal((), ("a",))))
-    assert pt_violation(just_eps) is None
+    assert language_pt_violation(just_eps) is None
     assert is_piecewise_testable(sigma_star(("a", "b")))
     assert is_piecewise_testable(empty_language(("a", "b")))
 
@@ -139,7 +134,7 @@ def test_power_families_not_pt():
     for k in (2, 3, 4):
         triples = {(i, "a", (i + 1) % k) for i in range(k)}
         d = Automaton(k, ("a",), {0}, {0}, triples, True)
-        violation = pt_violation(minimal_dfa(d))
+        violation = language_pt_violation(d)
         assert violation is not None and violation[0] == "cycle"
 
 
@@ -193,12 +188,12 @@ def test_nfa_and_minimal_dfa_agree():
     for name, factory, expected in PT_FIXTURES:
         a = factory()
         mini = minimal_dfa(determinize(a))
-        assert (pt_violation(mini) is None) == is_piecewise_testable(a) == expected
+        assert (language_pt_violation(mini) is None) == is_piecewise_testable(a) == expected
 
 
 def test_audit_minimizes_once(monkeypatch):
-    # the PT conditions are read off the one minimal DFA of the input; only
-    # pt_violation, which takes outside input, minimizes again as a guard
+    # the PT conditions are read off the one minimal DFA of the input, so
+    # one minimization serves the whole check
     from ptsep import automata
 
     calls = []

@@ -26,8 +26,6 @@ from ptsep import (
     is_empty,
     is_piecewise_testable,
     minimal_dfa,
-    refine_step,
-    trim,
     upper_bound_height,
     verify_tower,
 )
@@ -35,8 +33,10 @@ from ptsep.automata import _minimal
 from ptsep.families import Circuit, Gate
 from ptsep.towers import _superword, materialize_witness
 from conftest import (
+    all_words,
+    chain_reference,
+    down_closure,
     empty_language,
-    equivalent,
     literal,
     random_circuit,
     random_complete_dfa,
@@ -85,39 +85,15 @@ def test_upper_bound_height_values():
         upper_bound_height(0, 2)
 
 
-def test_refine_step_trivial():
-    alphabet = ("a",)
-    empty = empty_language(alphabet)
-    lk, rk = refine_step(empty, empty, empty)
-    assert is_empty(lk) and is_empty(rk)
-
-
-def test_refine_step_shared_singleton_fixpoint():
-    word_a = literal(("a",), ("a",))
-    lk, rk = refine_step(word_a, word_a, word_a)
-    assert equivalent(lk, word_a)
-    assert equivalent(rk, word_a)
-
-
-def test_refine_step_chain_reaches_empty():
-    inst = gen_quadratic(4)
-    cur_l, cur_r = inst.left, inst.right
-    for _ in range(40):
-        cur_l, cur_r = refine_step(cur_r, inst.left, inst.right)
-        if is_empty(cur_l) and is_empty(cur_r):
-            break
-    assert is_empty(cur_l) and is_empty(cur_r)
-
-
 def test_refine_step_matches_definition():
-    # spot-check L_k = L0 n down(R_{k-1}) by brute enumeration
-    from conftest import all_words, down_closure
-
+    # spot-check the reference's first step, L_1 = L0 n down(R0) and
+    # R_1 = R0 n down(L_1), by brute enumeration
     inst = gen_exp(1)
-    lk, rk = refine_step(inst.right, inst.left, inst.right)
-    down_r = down_closure(inst.right)
+    _, [(l1, r1), *_], _ = chain_reference(inst.left, inst.right)
+    down_r, down_l = down_closure(inst.right), down_closure(l1)
     for w in all_words(inst.left.alphabet, 4):
-        assert lk.accepts(w) == (inst.left.accepts(w) and down_r.accepts(w))
+        assert l1.accepts(w) == (inst.left.accepts(w) and down_r.accepts(w))
+        assert r1.accepts(w) == (inst.right.accepts(w) and down_l.accepts(w))
 
 
 def test_decide_infinite_with_witness():
@@ -151,25 +127,9 @@ def test_decide_budget_exhaustion_is_explicit():
     assert result.separator is None and result.witness is None
 
 
-def refine_fold(left, right):
-    """The originals and the steps (L_k, R_k) of the chain, as a refine_step
-    fold stopped by decide's rule: at the first empty L_k, or at the first
-    pair equal to the pair before it.  The pair before step 1 is the
-    originals."""
-    originals = previous = tuple(trim(minimal_dfa(x)) for x in (left, right))
-    steps = []
-    while True:
-        step = refine_step(previous[1], left, right)
-        steps.append(step)
-        if step[0].state_count == 0 or [automaton_to_dict(x) for x in step] == [
-                automaton_to_dict(x) for x in previous]:
-            return originals, steps
-        previous = step
-
-
 def test_chain_monotone_decreasing():
     inst = gen_quadratic(6)
-    (prev_l, prev_r), steps = refine_fold(inst.left, inst.right)
+    (prev_l, prev_r), steps, _ = chain_reference(inst.left, inst.right)
     for lk, rk in steps:
         assert includes(prev_l, lk)
         assert includes(prev_r, rk)
@@ -182,9 +142,11 @@ def test_chain_monotone_decreasing():
     chain_pair,
 ])
 def test_chain_steps_are_the_refine_step_fold(pair):
+    # the chain against the reference chain, which runs neither the chain's
+    # step nor the closure machine
     left, right = pair()
     chain = decide_separability(left, right).chain
-    _, steps = refine_fold(left, right)
+    _, steps, _ = chain_reference(left, right)
     assert len(steps) == chain.b_index
     assert chain.to_dict()["steps"] == [
         {"left_states": lk.state_count, "right_states": rk.state_count}
@@ -193,8 +155,7 @@ def test_chain_steps_are_the_refine_step_fold(pair):
 
 def test_chain_step_counts_are_the_public_state_counts():
     # to_dict reads each count off a trim flat DFA, without a sink; the
-    # refine_step fold builds the same steps as trimmed minimal automata,
-    # and minimizing and trimming them again changes nothing
+    # reference chain builds each step as a trimmed minimal automaton
     rng = random.Random(9104)
     pairs = [(inst.left, inst.right) for inst in (
         gen_quadratic(6), gen_2exp(2), gen_exp(3), gen_expdfa(3))]
@@ -203,13 +164,10 @@ def test_chain_step_counts_are_the_public_state_counts():
     for left, right in pairs:
         chain = decide_separability(left, right).chain
         verdicts.add(chain.verdict)
-        _, steps = refine_fold(left, right)
+        _, steps, _ = chain_reference(left, right)
         assert chain.to_dict()["steps"] == [
             {"left_states": lk.state_count, "right_states": rk.state_count}
             for lk, rk in steps]
-        for step in steps:
-            for x in step:
-                assert trim(minimal_dfa(x)).state_count == x.state_count
     assert verdicts == {"separable", "infinite_tower"}
 
 
@@ -233,7 +191,7 @@ def test_chain_keeps_no_languages():
 def test_fixpoint_is_mutually_embeddable():
     a, b = chain_pair()
     assert decide_separability(a, b).status == "infinite_tower"
-    _, steps = refine_fold(a, b)
+    _, steps, _ = chain_reference(a, b)
     l_fix, r_fix = steps[-1]
     assert includes(down_determinize(r_fix), l_fix)
     assert includes(down_determinize(l_fix), r_fix)
@@ -260,14 +218,10 @@ def test_separator_trivial_empty_right():
 
 def reference_separator(left, right):
     """The union of the pieces down(R_j) minus down(L_{j+1}) over the
-    refine_step fold, joined by NFA union and the subset construction, as
-    the separator was first built."""
-    (_, r_j), steps = refine_fold(left, right)
+    reference chain's down DFAs, joined by NFA union and the subset
+    construction, as the separator was first built."""
     acc = None
-    for l_next, r_next in steps:
-        down_r = minimal_dfa(down_determinize(r_j))
-        down_l = minimal_dfa(down_determinize(l_next))
-        r_j = r_next
+    for down_r, down_l in chain_reference(left, right)[2]:
         piece = minimal_dfa(intersection(down_r, complement(down_l)))
         acc = piece if acc is None else minimal_dfa(determinize(union(acc, piece)))
     return acc
