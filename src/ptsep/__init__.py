@@ -43,7 +43,6 @@ from .families import (
     gen_universality,
     single_initial,
     tower_preserving_determinization,
-    transform_tower,
 )
 from .oracles import TowerSearch, brute_max_tower_height, enumerate_language, reachability
 from .prefixes import Pattern, find_pattern, materialize_prefix_tower, max_prefix_tower_height

@@ -467,21 +467,19 @@ def _subset_construction(m: int, move, start_mask: int, final_mask: int,
                 rest &= ~cover[q]
                 for sym, mask in move[q].items():
                     targets[sym] = targets.get(sym, 0) | mask
-        if len(targets) < m and not empty:
-            if len(subsets) >= budget:
-                raise BudgetExceeded(f"{what} exceeded budget of {budget} states")
+        if len(targets) < m:
             empty = 1
         row = {}
         for sym in sorted(targets):
             target = targets[sym]
             dst = index.get(target)
             if dst is None:
-                if len(subsets) + empty >= budget:
-                    raise BudgetExceeded(f"{what} exceeded budget of {budget} states")
                 dst = index[target] = len(subsets)
                 subsets.append(target)
             row[sym] = dst
         succ.append(row)
+        if len(subsets) + empty > budget:
+            raise BudgetExceeded(f"{what} exceeded budget of {budget} states")
     return len(subsets), succ, {i for i, s in enumerate(subsets) if s & final_mask}
 
 

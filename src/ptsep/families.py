@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .automata import Automaton, is_empty, whole
+from .automata import Automaton, _require_same_alphabet, bits, is_empty, whole
 from .errors import SchemaError
 from .towers import LEFT, PREFIX, RIGHT, SUBSEQUENCE, Tower
 
@@ -490,73 +490,81 @@ PER_LETTER_STATE = "per-letter-state"
 
 @dataclass
 class DeterminizationTransform:
-    """The two transformed DFAs plus everything needed to carry towers over:
-    the normalized sources and the fresh-letter tables."""
+    """The two transformed DFAs plus what carries towers over: the source of
+    each side with one initial state, and the fresh letter that enters each
+    of their moves."""
 
-    variant: str
     left: Automaton
     right: Automaton
-    left_source: Automaton
-    right_source: Automaton
-    letters: dict  # per-state: (tag, target) -> name; else (tag, sym, target) -> name
+    sources: dict  # side -> that side's source, from single_initial
+    entry: dict  # (side, letter, target) -> the fresh letter entering that move
 
-    def p_letter(self, tag: str, sym: str, target: int) -> str:
-        if self.variant == PER_STATE:
-            return self.letters[(tag, target)]
-        return self.letters[(tag, sym, target)]
+    def carry(self, tower: Tower) -> Tower:
+        """Carry a tower between the original automata over to the
+        transformed pair, slot-aligning all elements to the top word and
+        interleaving the fresh letters recorded from each element's
+        accepting path."""
+        elements = tower.elements
+        paths = [find_accepting_path(self.sources[side], word) for word, side in elements]
+        if None in paths:
+            raise ValueError(f"element {paths.index(None)} is not accepted on its side")
 
-    def source(self, side: str) -> Automaton:
-        return self.left_source if side == LEFT else self.right_source
+        top = len(elements[-1][0]) if elements else 0
+        slot_maps = [list(range(top))]
+        for i in range(len(elements) - 2, -1, -1):
+            emb = _greedy_embedding(elements[i][0], elements[i + 1][0])
+            slot_maps.insert(0, [slot_maps[0][p] for p in emb])
+
+        slot_ps = [[] for _ in range(top)]  # fresh letters, newest first
+        out = []
+        for (word, side), path, slots in zip(elements, paths, slot_maps):
+            parts = [()] * top
+            for k, slot in enumerate(slots):
+                slot_ps[slot].insert(0, self.entry[(side, word[k], path[k + 1])])
+                parts[slot] = tuple(slot_ps[slot]) + (word[k],)
+            out.append((tuple(x for part in parts for x in part), side))
+        return Tower(SUBSEQUENCE, tuple(out))
 
 
-def _normalize_initial(a: Automaton):
-    if len(a.initials) == 1:
-        return a, None
-    return single_initial(a), a.state_count
-
-
-def _transform_one(orig, norm, iota, tag, letters, alphabet, variant, new_names):
+def _transform_one(orig, source, side, entry, alphabet, per_state):
     """Replace every transition s -a-> t with s -fresh-> sigma -a-> t.
 
     Per-state fresh letters are keyed by the target, so the splitter states
-    are keyed by (source, target); the fresh initial state reuses the
-    splitter of the unique original source where possible to stay within the
-    n + n^2 state bound.  Per-letter-state fresh letters are keyed by
+    are keyed by (source, target); the fresh initial state of
+    :func:`single_initial` (numbered ``orig.state_count``) reuses the
+    splitter of the unique original source where possible to stay within
+    the n + n^2 state bound.  Per-letter-state fresh letters are keyed by
     (letter, target) and the splitters are shared between sources.
     """
-    routes = {}  # splitter key -> (target, set of syms, set of sources)
-    for s, sym, t in sorted(norm.transitions):
-        if variant == PER_STATE:
-            key = (s, t)
-            if iota is not None and s == iota:
-                srcs = {
-                    s0 for s0, _, t0 in orig.transitions
-                    if t0 == t and s0 in orig.initials
-                }
-                key = (next(iter(srcs)), t) if len(srcs) == 1 else (iota, t)
+    routes = {}  # splitter key -> (target, fresh letter, set of syms, set of sources)
+    for s, sym, t in sorted(source.transitions):
+        name = source.alphabet[sym]
+        if not per_state:
+            key = (name, t)
+        elif s == orig.state_count:
+            srcs = {
+                s0 for s0, _, t0 in orig.transitions
+                if t0 == t and s0 in orig.initials
+            }
+            key = (next(iter(srcs)) if len(srcs) == 1 else s, t)
         else:
-            key = (norm.alphabet[sym], t)
-        target, syms, sources = routes.setdefault(key, (t, set(), set()))
-        syms.add(norm.alphabet[sym])
+            key = (s, t)
+        _, _, syms, sources = routes.setdefault(key, (t, entry[(side, name, t)], set(), set()))
+        syms.add(name)
         sources.add(s)
 
-    sigma_of = {key: norm.state_count + i for i, key in enumerate(sorted(routes))}
     transitions = set()
-    for key, (target, syms, sources) in routes.items():
-        sigma = sigma_of[key]
-        if variant == PER_STATE:
-            entry = letters[(tag, target)]
-        else:
-            (sym_name, _) = key
-            entry = letters[(tag, sym_name, target)]
+    for i, key in enumerate(sorted(routes)):
+        sigma = source.state_count + i
+        target, fresh, syms, sources = routes[key]
         for src in sources:
-            transitions.add((src, entry, sigma))
-        for sym_name in syms:
-            transitions.add((sigma, sym_name, target))
-        for name in new_names:
+            transitions.add((src, fresh, sigma))
+        for name in syms:
+            transitions.add((sigma, name, target))
+        for name in alphabet[len(source.alphabet):]:
             transitions.add((sigma, name, sigma))
     return Automaton(
-        norm.state_count + len(routes), alphabet, norm.initials, norm.finals,
+        source.state_count + len(routes), alphabet, source.initials, source.finals,
         transitions, True,
     )
 
@@ -565,62 +573,50 @@ def tower_preserving_determinization(a: Automaton, b: Automaton,
                                      variant: str = PER_STATE) -> DeterminizationTransform:
     """Deterministic pair with exactly the same tower heights as (a, b);
     erasing the fresh letters from either transformed language recovers the
-    original one."""
+    original one.  :meth:`DeterminizationTransform.carry` carries a tower of
+    (a, b) over to the pair."""
     if variant not in (PER_STATE, PER_LETTER_STATE):
         raise ValueError(f"unknown variant {variant!r}")
-    if a.alphabet != b.alphabet:
-        raise ValueError("the pair must share an alphabet")
-    an, a_iota = _normalize_initial(a)
-    bn, b_iota = _normalize_initial(b)
+    _require_same_alphabet(a, b)
+    per_state = variant == PER_STATE
+    sources = {LEFT: single_initial(a), RIGHT: single_initial(b)}
 
-    taken = set(a.alphabet)
-    letters = {}
-    for tag, norm in (("A", an), ("B", bn)):
-        if variant == PER_STATE:
-            targets = sorted({t for _, _, t in norm.transitions})
-            for t in targets:
-                name = _fresh_name(f"y{tag.lower()}{t}", taken)
-                taken.add(name)
-                letters[(tag, t)] = name
-        else:
-            keys = sorted({(norm.alphabet[sym], t) for _, sym, t in norm.transitions})
-            for sym_name, t in keys:
-                name = _fresh_name(f"{sym_name}.{tag.lower()}{t}", taken)
-                taken.add(name)
-                letters[(tag, sym_name, t)] = name
-    new_names = [letters[k] for k in sorted(letters)]
-    alphabet = a.alphabet + tuple(new_names)
+    taken = dict.fromkeys(a.alphabet)  # the alphabet so far, fresh letters last
+    entry = {}
+    for side, source in sources.items():
+        tag = "a" if side == LEFT else "b"
+        named = {}  # target, or (letter, target) -> fresh letter
+        moves = {(source.alphabet[sym], t) for _, sym, t in source.transitions}
+        for sym, t in sorted(moves, key=lambda move: move[1] if per_state else move):
+            key = t if per_state else (sym, t)
+            if key not in named:
+                named[key] = _fresh_name(f"y{tag}{t}" if per_state else f"{sym}.{tag}{t}", taken)
+                taken[named[key]] = None
+            entry[(side, sym, t)] = named[key]
+    alphabet = tuple(taken)
 
-    left = _transform_one(a, an, a_iota, "A", letters, alphabet, variant, new_names)
-    right = _transform_one(b, bn, b_iota, "B", letters, alphabet, variant, new_names)
-    return DeterminizationTransform(
-        variant=variant, left=left, right=right,
-        left_source=an, right_source=bn,
-        letters=letters,
-    )
+    left = _transform_one(a, sources[LEFT], LEFT, entry, alphabet, per_state)
+    right = _transform_one(b, sources[RIGHT], RIGHT, entry, alphabet, per_state)
+    return DeterminizationTransform(left=left, right=right, sources=sources, entry=entry)
 
 
 def find_accepting_path(a: Automaton, word) -> Optional[list]:
-    """States of a lexicographically least accepting path for word, or None."""
+    """States of an accepting path for word, or None.  The path is picked
+    from its end: the least accepting state the word reaches, then at each
+    earlier position the least state with a move on that letter to the state
+    picked after it.  That path need not be lexicographically least: with
+    initials {0, 1}, moves 0 -a-> 5 and 1 -a-> 2 and finals {2, 5}, the path
+    of ("a",) is [1, 2], not [0, 5]."""
     ids = a.word_ids(word)
-    layers = [set(a.initials)]
-    by_pair = {}
-    for s, sym, t in a.transitions:
-        by_pair.setdefault((s, sym), set()).add(t)
+    layers = [a.initial_mask]
     for sym in ids:
-        nxt = set()
-        for q in layers[-1]:
-            nxt |= by_pair.get((q, sym), set())
-        layers.append(nxt)
-    endings = layers[-1] & a.finals
+        layers.append(a.step(layers[-1], sym))
+    endings = layers[-1] & a.final_mask
     if not endings:
         return None
-    path = [min(endings)]
+    path = [next(bits(endings))]
     for k in range(len(ids) - 1, -1, -1):
-        candidates = [
-            q for q in layers[k] if path[0] in by_pair.get((q, ids[k]), ())
-        ]
-        path.insert(0, min(candidates))
+        path.insert(0, next(q for q in bits(layers[k]) if a.step(1 << q, ids[k]) >> path[0] & 1))
     return path
 
 
@@ -637,42 +633,3 @@ def _greedy_embedding(v, w) -> list:
         positions.append(j)
         j += 1
     return positions
-
-
-def transform_tower(transform: DeterminizationTransform, tower: Tower) -> Tower:
-    """Carry a tower between the original automata over to the transformed
-    pair, slot-aligning all elements to the top word and interleaving the
-    fresh letters recorded from each element's accepting path."""
-    elements = tower.elements
-    r = len(elements)
-    if r == 0:
-        return Tower(SUBSEQUENCE, ())
-
-    state_paths = []
-    for i, (word, side) in enumerate(elements):
-        path = find_accepting_path(transform.source(side), word)
-        if path is None:
-            raise ValueError(f"element {i} is not accepted on its side")
-        state_paths.append(path)
-
-    words = [word for word, _ in elements]
-    top = len(words[-1])
-    slot_maps = []
-    carry = list(range(top))
-    slot_maps.append(carry)
-    for i in range(r - 2, -1, -1):
-        emb = _greedy_embedding(words[i], words[i + 1])
-        slot_maps.insert(0, [slot_maps[0][p] for p in emb])
-
-    slot_ps = [[] for _ in range(top)]  # fresh letters, newest first
-    out = []
-    for i, (word, side) in enumerate(elements):
-        tag = "A" if side == LEFT else "B"
-        path = state_paths[i]
-        parts = [()] * top
-        for k, slot in enumerate(slot_maps[i]):
-            fresh = transform.p_letter(tag, word[k], path[k + 1])
-            slot_ps[slot].insert(0, fresh)
-            parts[slot] = tuple(slot_ps[slot]) + (word[k],)
-        out.append((tuple(x for part in parts for x in part), side))
-    return Tower(SUBSEQUENCE, tuple(out))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import NamedTuple, Optional, Sequence
 
-from .automata import Automaton
+from .automata import Automaton, _require_same_alphabet
 from .errors import BudgetExceeded
 
 ENUM_BUDGET = 2_000_000
@@ -114,8 +114,7 @@ def brute_max_tower_height(
     """
     if relation not in ("subsequence", "prefix"):
         raise ValueError(f"unknown relation {relation!r}")
-    if a.alphabet != b.alphabet:
-        raise ValueError("oracle needs a shared alphabet")
+    _require_same_alphabet(a, b)
     _check_enumeration_budget(len(a.alphabet), max_len, budget)
 
     fa, fb = a.final_mask, b.final_mask

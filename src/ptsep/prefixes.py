@@ -125,7 +125,12 @@ def _reachable_product(a: Automaton, b: Automaton):
 
 
 def _bfs_word(adj, sources, target, alphabet) -> Optional[tuple]:
-    """Shortlex-least word labelling a path from any source to target."""
+    """A shortest word labelling a path from one of the sources to target,
+    or None.  The search is breadth-first from the sources in the order
+    given, tries each state's moves in (letter, target) order, and keeps the
+    first word that reaches each state.  That word need not be
+    shortlex-least: from sources [0, 1] with moves 0 -b-> 2 and 1 -a-> 2,
+    the word to 2 is ("b",)."""
     parents = {}
     queue = deque()
     for s in sources:

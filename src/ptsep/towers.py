@@ -27,10 +27,11 @@ from .automata import (
     _meet,
     _minimal,
     _minimize,
+    _require_same_alphabet,
     mask_of,
 )
 from .closures import _down_subsets, is_prefix, is_subsequence
-from .errors import AlphabetMismatch, BudgetExceeded, SchemaError
+from .errors import BudgetExceeded, SchemaError
 
 SUBSEQUENCE = "subsequence"
 PREFIX = "prefix"
@@ -243,8 +244,7 @@ def decide_separability(
     """Iterate the refinement chain until both languages are empty
     (separable), two consecutive steps are language-equal and nonempty
     (infinite tower), or the step budget runs out (undecided)."""
-    if left.alphabet != right.alphabet:
-        raise AlphabetMismatch("decide_separability needs one shared alphabet")
+    _require_same_alphabet(left, right)
     m = len(left.alphabet)
     chain = RefinementChain()
     originals = previous = (_minimal(left, budget), _minimal(right, budget))

@@ -39,7 +39,6 @@ from ptsep import (
     minimal_dfa,
     reachability,
     tower_preserving_determinization,
-    transform_tower,
     upper_bound_height,
     verify_tower,
 )
@@ -317,7 +316,7 @@ def test_criterion_10_determinization_transforms():
                 if out.state_count > limit:
                     failures.append(
                         f"{variant} m={m}: {out.state_count} states > {limit}")
-            carried = transform_tower(tr, inst.tower)
+            carried = tr.carry(inst.tower)
             if carried.height != inst.tower.height:
                 failures.append(f"{variant} m={m}: height changed")
             if not verify_tower(tr.left, tr.right, carried):

@@ -11,16 +11,21 @@ from ptsep import (
     SchemaError,
     automaton_from_dict,
     automaton_to_dict,
+    brute_max_tower_height,
     complement,
     complete,
+    decide_separability,
     determinize,
+    find_pattern,
     gen_exp,
     gen_quadratic,
     includes,
     intersection,
     is_empty,
+    max_prefix_tower_height,
     minimal_dfa,
     normalize_alphabets,
+    tower_preserving_determinization,
     trim,
 )
 from ptsep.automata import _reachable
@@ -117,9 +122,14 @@ def test_product_single_state_loops():
     assert prod.accepts(("a", "a"))
 
 
-def test_product_alphabet_mismatch():
-    with pytest.raises(AlphabetMismatch):
-        intersection(sigma_star(("a",)), sigma_star(("a", "b")))
+@pytest.mark.parametrize("operation", [
+    intersection, includes, decide_separability, find_pattern, max_prefix_tower_height,
+    brute_max_tower_height, tower_preserving_determinization,
+], ids=lambda operation: operation.__name__)
+def test_product_alphabet_mismatch(operation):
+    # every operation on a pair checks the alphabets the same way
+    with pytest.raises(AlphabetMismatch, match="^alphabets differ: "):
+        operation(sigma_star(("a",)), sigma_star(("a", "b")))
 
 
 def test_determinize_preserves_language():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ptsep import automaton_to_dict, gen_exp, gen_quadratic, save_automaton
+from ptsep import Automaton, automaton_to_dict, gen_exp, gen_quadratic, save_automaton
 from ptsep.cli import BENCH_COLUMNS, main
 from conftest import dfa, literal, sigma_star
 
@@ -233,6 +233,14 @@ def test_pt_check_exit_codes(tmp_path, capsys):
     path2 = tmp_path / "total.json"
     save_automaton(sigma_star(("a", "b")), path2)
     assert main(["pt-check", str(path2)]) == 0
+    capsys.readouterr()
+
+    # a one-state NFA, so pt-check runs the subset construction on it
+    path3 = tmp_path / "loop.json"
+    save_automaton(Automaton(1, ("a",), {0}, {0}, {(0, "a", 0)}), path3)
+    assert main(["pt-check", str(path3), "--budget", "0"]) == 2
+    assert "subset construction exceeded budget of 0 states" in capsys.readouterr().err
+    assert main(["pt-check", str(path3), "--budget", "1"]) == 0
     capsys.readouterr()
 
 

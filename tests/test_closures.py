@@ -125,10 +125,15 @@ def test_subset_construction_enforces_budget_on_both_routes():
     # {ab, aa} with a nondeterministic first move; 4 subsets on either route
     nfa = Automaton(4, ("a", "b"), {0}, {3},
                     {(0, "a", 1), (0, "a", 2), (1, "b", 3), (2, "a", 3)})
+    # one state looping on its only letter: the start subset counts too
+    loop = Automaton(1, ("a",), {0}, {0}, {(0, "a", 0)})
     for construct in (determinize, down_determinize):
         assert construct(nfa, budget=4).state_count == 4
         with pytest.raises(BudgetExceeded):
             construct(nfa, budget=3)
+        assert construct(loop, budget=1).state_count == 1
+        with pytest.raises(BudgetExceeded):
+            construct(loop, budget=0)
 
 
 def test_budget_errors_name_the_construction_and_the_chain_step():

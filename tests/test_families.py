@@ -24,7 +24,6 @@ from ptsep import (
     minimal_dfa,
     single_initial,
     tower_preserving_determinization,
-    transform_tower,
     verify_tower,
 )
 from ptsep.towers import Tower
@@ -256,6 +255,9 @@ def test_find_accepting_path():
     assert path == [1, 1, 0]
     assert find_accepting_path(inst.left, ("b",)) is None
     assert find_accepting_path(inst.left, ()) == [0]
+    # the path is picked from its end, so [1, 2] wins over [0, 5]
+    a = Automaton(6, ("a",), {0, 1}, {2, 5}, {(0, "a", 5), (1, "a", 2)})
+    assert find_accepting_path(a, ("a",)) == [1, 2]
 
 
 @pytest.mark.parametrize("variant", ["per-state", "per-letter-state"])
@@ -271,7 +273,7 @@ def test_determinization_transform_exp(variant):
                 assert out.state_count <= n + n * n
             else:
                 assert out.state_count <= n + letters * n
-        carried = transform_tower(tr, inst.tower)
+        carried = tr.carry(inst.tower)
         assert carried.height == inst.tower.height
         assert verify_tower(tr.left, tr.right, carried)
 
@@ -290,9 +292,9 @@ def test_determinization_projection_property():
 def test_transform_tower_edge_cases():
     inst = gen_exp(1)
     tr = tower_preserving_determinization(inst.left, inst.right)
-    assert transform_tower(tr, Tower("subsequence", ())).height == 0
+    assert tr.carry(Tower("subsequence", ())).height == 0
     single = Tower("prefix", ((("b",), "right"),))
-    carried = transform_tower(tr, single)
+    carried = tr.carry(single)
     assert carried.height == 1
     assert verify_tower(tr.left, tr.right, carried)
 

@@ -91,6 +91,19 @@ def test_pattern_for_true_circuit():
     assert verify_tower(left, right, as_sub)
 
 
+def test_pattern_u_is_the_first_word_found():
+    # the start pairs are searched in ascending order, so u is ("b",) from
+    # (0, 0), although ("a",) also leads from (1, 1) to sigma = (2, 2)
+    moves = {(0, "b", 2), (1, "a", 2), (2, "a", 3), (3, "a", 2)}
+    odd = Automaton(4, ("a", "b"), {0, 1}, {3}, moves)
+    even = Automaton(4, ("a", "b"), {0, 1}, {2}, moves)
+    pattern = find_pattern(odd, even)
+    assert pattern.state_pairs[pattern.sigma] == (2, 2)
+    assert pattern.u == ("b",)
+    a = odd.symbol_id("a")
+    assert odd.step(1 << 1, a) == even.step(1 << 1, a) == 1 << 2
+
+
 def test_pattern_sides():
     left, right = gen_reachability(2, [(0, 1)], 0, 1)
     pattern = find_pattern(left, right)
