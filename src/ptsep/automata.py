@@ -94,17 +94,25 @@ class Automaton:
         if n < 0:
             raise ValueError("state_count must be >= 0")
 
+        # the one check of each transition; the messages name its position
         norm = set()
-        seen_pairs = {}
-        for src, sym, dst in transitions:
+        targets = {}  # (source, symbol id) -> target, for the determinism check
+        for i, (src, sym, dst) in enumerate(transitions):
+            if not 0 <= src < n:
+                raise ValueError(
+                    f"transitions[{i}]: source {src!r} is not a state id (states={n})")
+            if not 0 <= dst < n:
+                raise ValueError(
+                    f"transitions[{i}]: target {dst!r} is not a state id (states={n})")
             if isinstance(sym, str):
-                if sym not in sym_index:
-                    raise InvalidWord(f"unknown symbol {sym!r}")
-                sym = sym_index[sym]
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"transition ({src},{sym},{dst}) out of range")
-            if not (0 <= sym < len(alphabet)):
-                raise ValueError(f"transition symbol id {sym} out of range")
+                name, sym = sym, sym_index.get(sym)
+                if sym is None:
+                    raise InvalidWord(f"transitions[{i}]: unknown symbol {name!r}")
+            elif not 0 <= sym < len(alphabet):
+                raise ValueError(f"transitions[{i}]: symbol id {sym} out of range")
+            if deterministic and targets.setdefault((src, sym), dst) != dst:
+                raise ValueError(f"transitions[{i}]: state {src} has two moves on "
+                                 f"{alphabet[sym]!r} but deterministic is true")
             norm.add((src, sym, dst))
 
         initials = frozenset(initials)
@@ -112,13 +120,8 @@ class Automaton:
         for q in initials | finals:
             if not (0 <= q < n):
                 raise ValueError(f"state id {q} out of range")
-        if deterministic:
-            if len(initials) != 1:
-                raise ValueError("deterministic automaton needs exactly one initial state")
-            for src, sym, dst in norm:
-                prev = seen_pairs.setdefault((src, sym), dst)
-                if prev != dst:
-                    raise ValueError(f"state {src} is nondeterministic on symbol {sym}")
+        if deterministic and len(initials) != 1:
+            raise ValueError("initials: a deterministic automaton needs exactly one initial state")
 
         self.state_count = n
         self.alphabet = alphabet
@@ -502,15 +505,18 @@ def _minimize(dfa, start: int = 0):
 
     Hopcroft refinement on the partial transition function (Valmari and
     Lehtinen, STACS 2008): states that reach no final state are dropped,
-    together with the moves into them, and the rest start in two blocks,
-    final and nonfinal.  Both are queued as splitters, because a missing
-    move is no move into the other block.  Then a block that splits queues
-    its smaller half, as in the complete case.  A splitter is read through
-    the inverse of the live moves, grouped by letter, so a pass costs the
-    moves into the splitter.  A source in a singleton block is skipped: a
-    singleton never splits.  Blocks are numbered in BFS order from the
-    block of ``start``, letters in alphabet order, so language-equal inputs
-    give identical output, and an unreachable state is never numbered."""
+    together with the moves into them.  The rest start in one block per
+    (finality, set of letters with a live move): two states that differ in
+    either are inequivalent, and a letter into a dead state counts as no
+    move.  Every block is queued as a splitter, because a missing move is
+    no move into another block; when every block is a singleton there is
+    nothing to refine.  Then a block that splits queues its smaller half,
+    as in the complete case.  A splitter is read through the inverse of the
+    live moves, grouped by letter, so a pass costs the moves into the
+    splitter.  A source in a singleton block is skipped: a singleton never
+    splits.  Blocks are numbered in BFS order from the block of ``start``,
+    letters in alphabet order, so language-equal inputs give identical
+    output, and an unreachable state is never numbered."""
     n, succ, finals = dfa
     if not n:
         return EMPTY
@@ -529,8 +535,15 @@ def _minimize(dfa, start: int = 0):
                 stack.append(q)
     if block_of[start] < 0:
         return EMPTY
-    blocks = [set(finals), {q for q, b in enumerate(block_of) if b == 1}]
-    work = [tuple(block) for block in blocks if block]
+    groups = defaultdict(list)
+    for q, b in enumerate(block_of):
+        if b >= 0:
+            groups[b, frozenset(sym for sym, t in succ[q].items() if block_of[t] >= 0)].append(q)
+    blocks = [set(group) for group in groups.values()]
+    for bid, block in enumerate(blocks):
+        for q in block:
+            block_of[q] = bid
+    work = [tuple(block) for block in blocks] if any(len(block) > 1 for block in blocks) else []
     while work:
         by_letter = defaultdict(list)  # a DFA: each list holds a source once
         for t in work.pop():
@@ -673,27 +686,27 @@ def automaton_from_dict(data: dict) -> Automaton:
     transitions = data["transitions"]
     if not isinstance(transitions, list):
         raise SchemaError("transitions: must be a list of [source, symbol, target]")
-    triples = []
+    # the JSON shape and types only: Automaton checks ranges, symbols and
+    # determinism, with the same transitions[i] locations
     for i, item in enumerate(transitions):
         if not (isinstance(item, list) and len(item) == 3):
             raise SchemaError(f"transitions[{i}]: expected [source, symbol, target]")
         src, sym, dst = item
-        if not whole(src, states):
+        if type(src) is not int:  # a JSON int, not a bool
             raise SchemaError(
                 f"transitions[{i}]: source {src!r} is not a state id (states={states})")
-        if not whole(dst, states):
+        if type(dst) is not int:
             raise SchemaError(
                 f"transitions[{i}]: target {dst!r} is not a state id (states={states})")
-        if not isinstance(sym, str) or sym not in seen:
+        if not isinstance(sym, str):
             raise SchemaError(f"transitions[{i}]: unknown symbol {sym!r}")
-        triples.append((src, sym, dst))
     deterministic = data.get("deterministic", False)
     if not isinstance(deterministic, bool):
         raise SchemaError("deterministic: must be a JSON boolean (true or false)")
     try:
         return Automaton(states, alphabet, data["initials"], data["finals"],
-                         triples, deterministic)
-    except ValueError as exc:
+                         transitions, deterministic)
+    except (ValueError, InvalidWord) as exc:
         raise SchemaError(str(exc)) from None
 
 

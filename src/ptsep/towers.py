@@ -144,11 +144,18 @@ def _down(m: int, dfa, budget=None):
                                    budget))
 
 
-def _refine(m: int, r_prev, l0, r0, budget=None):
+def _refine(m: int, l_prev, r_prev, l0, r0, budget=None):
     """One chain step on flat DFAs: (L_k, R_k) and the two down DFAs it
-    built, down(R_{k-1}) and down(L_k)."""
+    built, down(R_{k-1}) and down(L_k).  ``l_prev`` is L_{k-1} for k >= 2
+    and None at k = 1.  If L_k = L_{k-1}, then R_k = R0 n down(L_k) =
+    R_{k-1}, so the step reuses R_{k-1} and builds no down(L_k) (None in
+    its place); the chain then stops with an infinite tower, so a separator
+    never reads it.  Not at k = 1: R_0 is the input R0, which need not be
+    R0 n down(L0)."""
     down_r = _down(m, r_prev, budget)
     lk = _meet(l0, down_r)
+    if lk == l_prev:
+        return lk, r_prev, (down_r, None)
     down_l = _down(m, lk, budget)
     return lk, _meet(r0, down_l), (down_r, down_l)
 
@@ -251,7 +258,8 @@ def decide_separability(
     downs = []  # (down(R_{k-1}), down(L_k)) of each step, for the separator only
     for k in range(1, max_steps + 1):
         try:
-            lk, rk, step_downs = _refine(m, previous[1], *originals, budget)
+            lk, rk, step_downs = _refine(m, previous[0] if k > 1 else None, previous[1],
+                                         *originals, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(f"{exc} at chain step {k}") from None
         chain.sizes.append((lk[0], rk[0]))

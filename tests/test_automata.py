@@ -18,6 +18,7 @@ from ptsep import (
     determinize,
     find_pattern,
     gen_exp,
+    gen_mcvp,
     gen_quadratic,
     includes,
     intersection,
@@ -39,6 +40,7 @@ from conftest import (
     literal,
     moore_minimize,
     moore_minimize_size,
+    random_circuit,
     random_complete_dfa,
     random_nfa,
     reachable_pairs,
@@ -267,6 +269,15 @@ def test_minimize_against_moore_oracle():
         useful = _reachable(d.state_count, [(t, s) for s, t in moves], d.finals)
         both += len(reachable) < d.state_count and len(useful) < d.state_count
     assert both >= 100
+    # the start blocks are keyed on the letters into live states: 1 and 2
+    # are equivalent although only 2 has a move, into the dead state 3
+    twins = dfa(("a", "b", "c"), {0: {"a": 1, "b": 2}, 1: {"a": 1}, 2: {"a": 2, "c": 3},
+                                  3: {"c": 3}}, 0, {1, 2})
+    assert automaton_to_dict(minimal_dfa(twins)) == moore_minimize(twins)
+    assert minimal_dfa(twins).state_count == 3  # 0, {1, 2} and the sink
+    # a discrete start partition: the padded left DFA of a circuit reduction
+    left = gen_mcvp(random_circuit(rng, 12))[0]
+    assert automaton_to_dict(minimal_dfa(left)) == moore_minimize(left)
 
 
 def test_determinize_against_reference_subsets():
@@ -416,8 +427,25 @@ def test_json_roundtrip():
       "transitions": []}, "initials[0]"),
     ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
       "transitions": [[True, "a", 0]]}, "transitions[0]"),
+    ({"alphabet": ["a", "b"], "states": 2, "initials": [0], "finals": [],
+      "transitions": [[0, "a", 1], [0, "b", 0], [0, "b", 1]], "deterministic": True},
+     "transitions[2]: state 0 has two moves on 'b' but deterministic is true"),
+    ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
+      "transitions": [[0, "a", 1], "0a1"]}, "transitions[1]: expected"),
+    ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
+      "transitions": [[0, "a"]]}, "transitions[0]: expected"),
+    ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
+      "transitions": [[0, "a", 1], [2, "a", 0]]}, "transitions[1]: source 2"),
+    ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
+      "transitions": [[0, "a", False]]}, "transitions[0]: target False"),
+    ({"alphabet": ["a"], "states": 2, "initials": [0], "finals": [],
+      "transitions": [[0, 0, 1]]}, "transitions[0]: unknown symbol 0"),
+    ({"alphabet": ["a"], "states": 2, "initials": [0, 1], "finals": [],
+      "transitions": [], "deterministic": True}, "initials: "),
 ], ids=["dup-symbol", "bad-initial", "bad-target", "bad-symbol", "missing",
-        "bad-deterministic", "bool-states", "bool-initial", "bool-source"])
+        "bad-deterministic", "bool-states", "bool-initial", "bool-source",
+        "nondeterministic", "not-a-list", "two-entries", "bad-source", "bool-target",
+        "int-symbol", "deterministic-two-initials"])
 def test_json_schema_errors(doc, fragment):
     with pytest.raises(SchemaError) as err:
         automaton_from_dict(doc)

@@ -29,6 +29,7 @@ from ptsep import (
     upper_bound_height,
     verify_tower,
 )
+from ptsep import towers
 from ptsep.automata import _minimal
 from ptsep.families import Circuit, Gate
 from ptsep.towers import _superword, materialize_witness
@@ -186,6 +187,27 @@ def test_chain_keeps_no_languages():
         tracemalloc.stop()
     assert result.status == "separable" and result.chain.b_index == 31
     assert retained < 50_000
+
+
+@pytest.mark.parametrize("gates", [
+    (Gate("ONE"), Gate("ZERO"), Gate("OR", 1, 2)),
+    (Gate("ONE"), Gate("ZERO"), Gate("OR", 1, 1), Gate("AND", 2, 1), Gate("AND", 3, 4),
+     Gate("OR", 4, 5), Gate("AND", 5, 2), Gate("OR", 5, 1)),
+], ids=["b2", "b4"])
+def test_fixpoint_step_reuses_the_last_right_language(gates, monkeypatch):
+    # L_b = L_{b-1} gives R_b = R_{b-1}, so the last step builds one
+    # down-closure, not two: 2b - 1 in all
+    left, right = gen_mcvp(Circuit(gates))
+    calls = []
+    down = towers._down
+    monkeypatch.setattr(towers, "_down", lambda *args: calls.append(args) or down(*args))
+    result = decide_separability(left, right, witness_height=4)
+    _, steps, _ = chain_reference(left, right)
+    b = result.chain.b_index
+    assert result.status == "infinite_tower" and b == len(steps) >= 2
+    assert len(calls) == 2 * b - 1
+    assert result.chain.sizes == [(lk.state_count, rk.state_count) for lk, rk in steps]
+    assert result.witness == materialize_witness(left.alphabet, *map(_minimal, steps[-1]), 4)
 
 
 def test_fixpoint_is_mutually_embeddable():
