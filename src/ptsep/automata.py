@@ -13,13 +13,15 @@ an explicit sink happens inside :func:`determinize`, :func:`complement` and
 The constructions run on one flat form, a partial DFA ``(n, succ, finals)``
 with initial state 0: ``succ[q]`` maps each letter with a move from q to its
 target, and there is no sink.  A missing move leads out of the language.
-Chain languages are held as canonical minimal flat DFAs: trim, numbered by a
-BFS from 0 with letters in alphabet order, each row listing its letters in
-that order, and ``n == 0`` for the empty language.  The subset construction
-returns the flat form, and the minimization and the product take it, so their
-cost follows the live moves, not states times letters.  :func:`_completed`
-builds the complete table, with its sink, only where a caller needs it:
-:class:`Automaton` output, complements and the PT test.
+Every flat DFA keeps one contract, as :func:`_subset_construction`,
+:func:`_completed`, :func:`_minimal`, :func:`_meet` and :func:`_minimize`
+build it: each state is reachable, and the states are numbered by a BFS
+from 0 with letters in alphabet order, each row listing them in that order.
+Chain languages are canonical minimal flat DFAs: trim as well, and
+``n == 0`` for the empty language.  The kernels cost the live moves, not
+states times letters.  :func:`_completed` builds the complete table, with
+its sink, only where a caller needs it: :class:`Automaton` output,
+complements and the PT test.
 :class:`Automaton` validates every field and is built only at the boundary,
 by the public functions and by :func:`automaton_from_dict`.
 """
@@ -300,9 +302,27 @@ def _rows(moves) -> list:
     return rows
 
 
-def _flat(d: Automaton):
-    """The flat form of a deterministic automaton in its own numbering."""
-    return d.state_count, [dict(pairs) for pairs in _moves(d)], d.finals
+def _renumber(succ, block_of, members, start: int, finals):
+    """The quotient of the DFA ``succ`` by ``block_of`` (-1 drops a dead
+    state and the moves into it), with ``members[b]`` a state of block b,
+    numbered by a BFS from the block of ``start`` as the contract asks."""
+    order, out = [block_of[start]], []
+    number = [-1] * len(members)
+    number[order[0]] = 0
+    for block in order:  # order grows while it is scanned
+        row = succ[members[block]]
+        moves = {}
+        for sym in sorted(row):
+            target = block_of[row[sym]]
+            if target < 0:
+                continue
+            dst = number[target]
+            if dst < 0:
+                dst = number[target] = len(order)
+                order.append(target)
+            moves[sym] = dst
+        out.append(moves)
+    return len(order), out, {number[block_of[q]] for q in finals} - {-1}
 
 
 def _completed(m: int, dfa):
@@ -346,15 +366,15 @@ def _automaton(alphabet, dfa) -> Automaton:
 
 
 def _product(moves_a, rows_b, nb: int, starts, finals_a, finals_b):
-    """The one product construction: the part of the synchronized product
-    that one common word reaches from a start pair, for two automata given by
-    the moves of the left one (see :func:`_moves`) and the successor rows of
-    the right one (see :func:`_rows`).  It follows the left moves whose
-    letter moves on the right too, so its cost is the live moves it meets.
-    Pair (p, q) has key p*nb + q.  Returns (keys, moves, finals): the
-    reached keys in ascending order, the moves as (source, symbol, target)
-    triples over positions in ``keys``, and the positions where both sides
-    accept."""
+    """The NFA product, for :func:`intersection` and the prefix heights (the
+    chain's DFA product is :func:`_meet`): the part of the synchronized
+    product that one common word reaches from a start pair, for the moves of
+    the left automaton (see :func:`_moves`) and the successor rows of the
+    right one (see :func:`_rows`).  It follows the left moves whose letter
+    moves on the right too, so its cost is the live moves it meets.  Pair
+    (p, q) has key p*nb + q.  Returns (keys, moves, finals): the reached keys
+    in ascending order, the moves as (source, symbol, target) triples over
+    positions in ``keys``, and the positions where both sides accept."""
     seen = set(starts)
     stack = list(seen)
     edges = []
@@ -396,15 +416,37 @@ def intersection(a: Automaton, b: Automaton) -> Automaton:
 
 
 def _meet(a, b):
-    """Canonical minimal flat DFA of L(a) n L(b) for two flat DFAs."""
-    if not (a[0] and b[0]):
+    """Canonical minimal flat DFA of L(a) n L(b) for two flat DFAs: one walk
+    over the pairs that a common word reaches from (0, 0), along the shorter
+    row of each, numbering a pair when it is found, which keeps the
+    contract, and filling the rows and the predecessor lists at once."""
+    (na, succ_a, finals_a), (nb, succ_b, finals_b) = a, b
+    if not (na and nb):
         return EMPTY
-    keys, moves, finals = _product([row.items() for row in a[1]],
-                                   _rows([row.items() for row in b[1]]), b[0], (0,), a[2], b[2])
-    succ = [{} for _ in keys]
-    for src, sym, dst in moves:
-        succ[src][sym] = dst
-    return _minimize((len(keys), succ, finals))
+    keys = [0]  # pair (p, q) has key p*nb + q
+    index = {0: 0}
+    succ, pred = [], [[]]
+    for i, key in enumerate(keys):  # keys grows while it is scanned
+        p, q = divmod(key, nb)
+        row_a, row_b = succ_a[p], succ_b[q]
+        flip = len(row_b) < len(row_a)
+        short, other = (row_b, row_a) if flip else (row_a, row_b)
+        row = {}
+        for sym, t in short.items():
+            u = other.get(sym)
+            if u is None:
+                continue
+            key = u * nb + t if flip else t * nb + u
+            dst = index.get(key)
+            if dst is None:
+                dst = index[key] = len(keys)
+                keys.append(key)
+                pred.append([])
+            row[sym] = dst
+            pred[dst].append((sym, i))
+        succ.append(row)
+    finals = {i for i, key in enumerate(keys) if key // nb in finals_a and key % nb in finals_b}
+    return _minimize((len(keys), succ, finals), pred)
 
 
 def complete(d: Automaton) -> Automaton:
@@ -413,8 +455,8 @@ def complete(d: Automaton) -> Automaton:
     if not d.deterministic and d.state_count > 0:
         raise NotDeterministic("complete() expects a deterministic automaton")
     m, n = len(d.alphabet), d.state_count
-    succ = _flat(d)[1]
-    missing = [(q, sym, n) for q in range(n) for sym in range(m) if sym not in succ[q]]
+    moved = {(src, sym) for src, sym, _ in d.transitions}
+    missing = [(q, sym, n) for q in range(n) for sym in range(m) if (q, sym) not in moved]
     if n and not missing:
         return d
     return Automaton(n + 1, d.alphabet, d.initials or {n}, d.finals,
@@ -498,10 +540,12 @@ def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
     return _automaton(a.alphabet, _subsets(a, budget))
 
 
-def _minimize(dfa, start: int = 0):
+def _minimize(dfa, pred=None):
     """The one minimization: the canonical minimal flat DFA of the language
-    of state ``start`` of a flat DFA whose states need not be reachable or
-    lie on an accepting path.
+    of a flat DFA that keeps the contract, so it starts at state 0.
+    ``pred[t]``, when the caller has it, lists the (letter, source) pairs of
+    the moves into t.  When every state is live and no two are equivalent,
+    the input is canonical already and comes back as it is, unrenumbered.
 
     Hopcroft refinement on the partial transition function (Valmari and
     Lehtinen, STACS 2008): states that reach no final state are dropped,
@@ -514,16 +558,15 @@ def _minimize(dfa, start: int = 0):
     as in the complete case.  A splitter is read through the inverse of the
     live moves, grouped by letter, so a pass costs the moves into the
     splitter.  A source in a singleton block is skipped: a singleton never
-    splits.  Blocks are numbered in BFS order from the block of ``start``,
-    letters in alphabet order, so language-equal inputs give identical
-    output, and an unreachable state is never numbered."""
+    splits.  The blocks are numbered by :func:`_renumber`."""
     n, succ, finals = dfa
     if not n:
         return EMPTY
-    pred = [[] for _ in range(n)]  # pred[t]: the (letter, source) pairs of the moves into t
-    for q, row in enumerate(succ):
-        for sym, t in row.items():
-            pred[t].append((sym, q))
+    if pred is None:
+        pred = [[] for _ in range(n)]
+        for q, row in enumerate(succ):
+            for sym, t in row.items():
+                pred[t].append((sym, q))
     block_of = [-1] * n  # -1: no final state is reachable
     stack = list(finals)
     for q in stack:
@@ -533,12 +576,16 @@ def _minimize(dfa, start: int = 0):
             if block_of[q] < 0:
                 block_of[q] = 1
                 stack.append(q)
-    if block_of[start] < 0:
+    if block_of[0] < 0:
         return EMPTY
+    all_live = -1 not in block_of
     groups = defaultdict(list)
-    for q, b in enumerate(block_of):
+    for q, (b, row) in enumerate(zip(block_of, succ)):
         if b >= 0:
-            groups[b, frozenset(sym for sym, t in succ[q].items() if block_of[t] >= 0)].append(q)
+            live = row if all_live else (sym for sym, t in row.items() if block_of[t] >= 0)
+            groups[b, frozenset(live)].append(q)
+    if len(groups) == n:  # every state is live and alone in its block
+        return dfa
     blocks = [set(group) for group in groups.values()]
     for bid, block in enumerate(blocks):
         for q in block:
@@ -566,33 +613,22 @@ def _minimize(dfa, start: int = 0):
                 for q in inside:
                     block_of[q] = new_bid
                 work.append(tuple(inside))
-    repr_of = {block: q for q, block in enumerate(block_of)}
-    order = [block_of[start]]
-    number = {order[0]: 0}
-    out = []
-    for block in order:  # order grows while it is scanned
-        row = succ[repr_of[block]]
-        moves = {}
-        for sym in sorted(row):
-            target = block_of[row[sym]]
-            if target < 0:
-                continue
-            dst = number.get(target)
-            if dst is None:
-                dst = number[target] = len(order)
-                order.append(target)
-            moves[sym] = dst
-        out.append(moves)
-    final_blocks = {block_of[q] for q in finals}
-    return len(order), out, {i for i, block in enumerate(order) if block in final_blocks}
+    if len(blocks) == n:  # the refinement left every state alone
+        return dfa
+    return _renumber(succ, block_of, [next(iter(block)) for block in blocks], 0, finals)
 
 
 def _minimal(a: Automaton, budget: Optional[int] = None):
-    """The canonical minimal flat DFA of L(a).  A DFA is minimized as it is,
-    untrimmed, since :func:`_minimize` drops dead states in its backward pass
-    and never numbers an unreachable one; an NFA is trimmed, then determinized."""
+    """The canonical minimal flat DFA of L(a).  A DFA's rows are filled
+    from its transitions and put in the contract's form by :func:`_renumber`,
+    which numbers no unreachable state; :func:`_minimize` drops dead ones.
+    An NFA is trimmed, then determinized."""
     if a.deterministic:
-        return _minimize(_flat(a), min(a.initials))
+        states = range(a.state_count)
+        succ = [{} for _ in states]
+        for src, sym, dst in a.transitions:
+            succ[src][sym] = dst
+        return _minimize(_renumber(succ, states, states, min(a.initials), a.finals))
     return _minimize(_subsets(trim(a), budget))
 
 

@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="decide separability and build a separator")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-steps", type=_count, default=512)
+    p.add_argument("--max-steps", type=_count, default=None, help="chain step cap (default: none)")
     p.add_argument("--witness-height", type=_count, default=3)
     p.add_argument("--out", default=None, help="write the separator automaton here")
     common(p)

@@ -4,7 +4,10 @@ construction, tower verification, and the closed-form height bound.
 Starting from a pair (L0, R0) over one alphabet, each step replaces the
 current pair with ``L_k = L0 n down(R_{k-1})`` and ``R_k = R0 n down(L_k)``,
 where R_0 = R0.  The chain either empties out or stabilizes on a nonempty,
-mutually embeddable pair (an infinite tower exists).
+mutually embeddable pair (an infinite tower exists).  It always ends: by
+Higman's lemma subsequence is a well-quasi-order, so the descending
+down-closed languages down(R_k) stabilize, and L_{k+1} = L0 n down(R_k) and
+R_{k+1} = R0 n down(L_{k+1}) with them; only a step cap leaves it undecided.
 
 When it empties out at step b (L_b = R_b = empty), the pair is separable and
 the union over j < b of ``down(R_j) minus down(L_{j+1})`` is a piecewise
@@ -17,7 +20,7 @@ verdict, the step count b and the state counts of each step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import Optional
 
 from .automata import (
@@ -243,20 +246,20 @@ def materialize_witness(alphabet, l_fix, r_fix, height: int) -> Tower:
 def decide_separability(
     left: Automaton,
     right: Automaton,
-    max_steps: int = 512,
+    max_steps: Optional[int] = None,
     budget=None,
     witness_height: int = 3,
     with_separator: bool = False,
 ) -> SeparationResult:
     """Iterate the refinement chain until both languages are empty
     (separable), two consecutive steps are language-equal and nonempty
-    (infinite tower), or the step budget runs out (undecided)."""
+    (infinite tower), or a given ``max_steps`` runs out (undecided)."""
     _require_same_alphabet(left, right)
     m = len(left.alphabet)
     chain = RefinementChain()
     originals = previous = (_minimal(left, budget), _minimal(right, budget))
     downs = []  # (down(R_{k-1}), down(L_k)) of each step, for the separator only
-    for k in range(1, max_steps + 1):
+    for k in count(1) if max_steps is None else range(1, max_steps + 1):
         try:
             lk, rk, step_downs = _refine(m, previous[0] if k > 1 else None, previous[1],
                                          *originals, budget)

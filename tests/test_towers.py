@@ -29,8 +29,8 @@ from ptsep import (
     upper_bound_height,
     verify_tower,
 )
-from ptsep import towers
-from ptsep.automata import _minimal
+from ptsep import automata, towers
+from ptsep.automata import _automaton, _meet, _minimal
 from ptsep.families import Circuit, Gate
 from ptsep.towers import _superword, materialize_witness
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     down_closure,
     empty_language,
     literal,
+    moore_minimize,
     random_circuit,
     random_complete_dfa,
     random_nfa,
@@ -217,6 +218,104 @@ def test_fixpoint_is_mutually_embeddable():
     l_fix, r_fix = steps[-1]
     assert includes(down_determinize(r_fix), l_fix)
     assert includes(down_determinize(l_fix), r_fix)
+
+
+# the chain kernels on random partial DFAs over small and wide alphabets
+KERNEL_ALPHABETS = [("a", "b"), ("a", "b", "c"), tuple(f"x{i:02d}" for i in range(41))]
+
+
+def random_flat_dfa(rng, m, max_states):
+    """A random partial flat DFA built in BFS order: each state in turn gets
+    a move on each letter in order, with a chance that leaves about three
+    moves a state, to a new state while there is room or to one met
+    already.  So every state is reachable and the numbering is the BFS one,
+    with letters in alphabet order.  Dead states come by chance; a state
+    may also copy the row and finality of an earlier one, which makes the
+    two equivalent even over a wide alphabet."""
+    succ, n, twins = [], 1, {}
+    while len(succ) < n:
+        if succ and rng.random() < 0.15:
+            twins[len(succ)] = p = rng.randrange(len(succ))
+            succ.append(dict(succ[p]))
+            continue
+        row = {}
+        for sym in range(m):
+            if rng.random() < min(0.8, 3 / m):
+                if n < max_states and rng.random() < 0.4:
+                    row[sym], n = n, n + 1
+                else:
+                    row[sym] = rng.randrange(n)
+        succ.append(row)
+    finals = {q for q in range(n) if rng.random() < 0.4}
+    for q, p in sorted(twins.items()):  # p < q, so p's finality is settled
+        if p in finals:
+            finals.add(q)
+        else:
+            finals.discard(q)
+    return n, succ, finals
+
+
+def as_automaton(alphabet, dfa, rng):
+    """The flat DFA as a DFA Automaton whose states are renamed at random."""
+    n, succ, finals = dfa
+    name = rng.sample(range(n), n)
+    return Automaton(n, alphabet, {name[0]}, {name[q] for q in finals},
+                     {(name[q], sym, name[t]) for q, row in enumerate(succ)
+                      for sym, t in row.items()}, True)
+
+
+def live_states(dfa) -> set:
+    """The states of a flat DFA that reach a final state."""
+    n, succ, finals = dfa
+    live, grew = set(finals), True
+    while grew:
+        grew = False
+        for q, row in enumerate(succ):
+            if q not in live and live.intersection(row.values()):
+                live.add(q)
+                grew = True
+    return live
+
+
+@pytest.mark.parametrize("alphabet", KERNEL_ALPHABETS, ids=["2", "3", "41"])
+def test_minimize_matches_moore_on_bfs_numbered_dfas(alphabet):
+    # a minimal input comes back as it is; one with a dead state or an
+    # equivalent pair is minimized as the Moore reference does it
+    rng = random.Random(3100 + len(alphabet))
+    seen = set()
+    for _ in range(150):
+        dfa = random_flat_dfa(rng, len(alphabet), 7)
+        out = automata._minimize(dfa)
+        assert (automaton_to_dict(_automaton(alphabet, out))
+                == moore_minimize(as_automaton(alphabet, dfa, rng)))
+        live = live_states(dfa)
+        if len(live) == dfa[0]:
+            seen.add("all live")
+        else:
+            seen.add("dead")
+        if out[0] < len(live):
+            seen.add("equivalent pair")
+        elif out[0] == dfa[0]:
+            assert out == dfa
+            seen.add("minimal")
+    assert seen == {"all live", "dead", "equivalent pair", "minimal"}
+
+
+@pytest.mark.parametrize("alphabet", KERNEL_ALPHABETS, ids=["2", "3", "41"])
+def test_meet_and_down_match_the_references(alphabet):
+    # the DFA product walk and the down-closure step, each followed by the
+    # minimization, against the public product and closure machine
+    # minimized by the Moore reference
+    rng = random.Random(4100 + len(alphabet))
+    m = len(alphabet)
+    for _ in range(60):
+        a, b = (as_automaton(alphabet, random_flat_dfa(rng, m, 6), rng) for _ in range(2))
+        meet = _meet(_minimal(a), _minimal(b))
+        assert automaton_to_dict(_automaton(alphabet, meet)) == moore_minimize(intersection(a, b))
+        down = towers._down(m, _minimal(a))
+        assert automaton_to_dict(_automaton(alphabet, down)) == moore_minimize(down_determinize(a))
+        for canonical in (meet, down):
+            assert automata._minimize(canonical) == canonical
 
 
 def test_separator_on_exp2():
