@@ -1,10 +1,13 @@
 """Finite automata and the standard constructions every other module consumes.
 
-States are integers ``0 .. state_count-1``, symbols are indices into a tuple
-of distinct symbol names, and transitions form a finite relation of
-``(source, symbol, target)`` triples.  Automata are immutable after
-construction; every operation returns a new automaton.  Words are tuples of
-symbol names, so they can travel between automata that share an alphabet.
+States are integers ``0 .. state_count-1`` and symbols are indices into a
+tuple of distinct symbol names.  An :class:`Automaton` stores its moves once,
+as successor mask rows: ``rows[q]`` maps each letter with a move from q to
+the nonzero bitmask of its targets, and :func:`_subset_construction` reads
+them as its move table.  Its ``transitions`` triples are derived from the
+rows.  Automata are immutable after construction; every operation returns a
+new automaton.  Words are tuples of symbol names, so they can travel between
+automata that share an alphabet.
 
 Partial transition functions are allowed in stored automata; completion with
 an explicit sink happens inside :func:`determinize`, :func:`complement` and
@@ -64,17 +67,21 @@ def mask_of(states: Iterable[int]) -> int:
 
 
 class Automaton:
-    """An NFA (or DFA when the flag is set) over a named alphabet."""
+    """An NFA (or DFA when the flag is set) over a named alphabet.
+
+    ``rows[q]``, the one stored form of the moves, maps the id of each
+    letter with a move from q to the nonzero bitmask of its targets; it is
+    :func:`_subset_construction`'s move table.  The read-only
+    ``transitions`` derives the (source, symbol id, target) triples."""
 
     __slots__ = (
         "state_count",
         "alphabet",
         "initials",
         "finals",
-        "transitions",
+        "rows",
         "deterministic",
         "_sym_index",
-        "_masks",
     )
 
     def __init__(
@@ -97,8 +104,7 @@ class Automaton:
             raise ValueError("state_count must be >= 0")
 
         # the one check of each transition; the messages name its position
-        norm = set()
-        targets = {}  # (source, symbol id) -> target, for the determinism check
+        rows = [{} for _ in range(n)]
         for i, (src, sym, dst) in enumerate(transitions):
             if not 0 <= src < n:
                 raise ValueError(
@@ -112,10 +118,11 @@ class Automaton:
                     raise InvalidWord(f"transitions[{i}]: unknown symbol {name!r}")
             elif not 0 <= sym < len(alphabet):
                 raise ValueError(f"transitions[{i}]: symbol id {sym} out of range")
-            if deterministic and targets.setdefault((src, sym), dst) != dst:
+            mask, bit = rows[src].get(sym, 0), 1 << dst
+            if deterministic and mask | bit != bit:
                 raise ValueError(f"transitions[{i}]: state {src} has two moves on "
                                  f"{alphabet[sym]!r} but deterministic is true")
-            norm.add((src, sym, dst))
+            rows[src][sym] = mask | bit  # a repeated move changes nothing
 
         initials = frozenset(initials)
         finals = frozenset(finals)
@@ -129,10 +136,14 @@ class Automaton:
         self.alphabet = alphabet
         self.initials = initials
         self.finals = finals
-        self.transitions = frozenset(norm)
+        self.rows = rows
         self.deterministic = bool(deterministic)
         self._sym_index = sym_index
-        self._masks = None
+
+    @property
+    def transitions(self) -> frozenset:
+        """The (source, symbol id, target) triples, derived from ``rows``."""
+        return frozenset((q, sym, t) for q, moves in enumerate(_moves(self)) for sym, t in moves)
 
     def symbol_id(self, name: str) -> int:
         try:
@@ -143,15 +154,6 @@ class Automaton:
     def word_ids(self, word: Sequence[str]) -> list:
         return [self.symbol_id(s) for s in word]
 
-    def move_masks(self):
-        """masks[sym][state] -> bitmask of targets; built lazily and cached."""
-        if self._masks is None:
-            masks = [[0] * self.state_count for _ in self.alphabet]
-            for src, sym, dst in self.transitions:
-                masks[sym][src] |= 1 << dst
-            self._masks = masks
-        return self._masks
-
     @property
     def initial_mask(self) -> int:
         return mask_of(self.initials)
@@ -161,10 +163,9 @@ class Automaton:
         return mask_of(self.finals)
 
     def step(self, state_mask: int, sym: int) -> int:
-        row = self.move_masks()[sym]
         out = 0
         for q in bits(state_mask):
-            out |= row[q]
+            out |= self.rows[q].get(sym, 0)
         return out
 
     def accepts(self, word: Sequence[str]) -> bool:
@@ -240,39 +241,37 @@ def strongly_connected_components(adj):
 # reachability and trimming
 
 
-def _reachable(n: int, pairs, sources) -> set:
-    """States reachable from ``sources`` along the (source, target) pairs."""
-    adj = [[] for _ in range(n)]
-    for src, dst in pairs:
-        adj[src].append(dst)
-    seen = set(sources)
-    stack = list(seen)
-    while stack:
-        for t in adj[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+def _reach(adj, mask: int) -> int:
+    """The states reachable from the states of ``mask``, as a mask, where
+    ``adj[q]`` is the mask of the states one edge leads to from q."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        new = adj[low.bit_length() - 1] & ~mask
+        mask |= new
+        todo = (todo ^ low) | new
+    return mask
 
 
 def trim(a: Automaton) -> Automaton:
     """Drop states that are not on any accepting path; language preserved."""
     n = a.state_count
-    useful = (_reachable(n, ((s, t) for s, _, t in a.transitions), a.initials)
-              & _reachable(n, ((t, s) for s, _, t in a.transitions), a.finals))
-    if len(useful) == n:
+    succ, pred = [0] * n, [0] * n  # the states that q moves to, and that move to q
+    for q, row in enumerate(a.rows):
+        for mask in row.values():
+            succ[q] |= mask
+        for t in bits(succ[q]):
+            pred[t] |= 1 << q
+    useful = _reach(succ, a.initial_mask) & _reach(pred, a.final_mask)
+    if useful == (1 << n) - 1:
         return a
-    order = sorted(useful)
-    remap = {q: i for i, q in enumerate(order)}
-    transitions = {
-        (remap[s], sym, remap[t])
-        for s, sym, t in a.transitions
-        if s in useful and t in useful
-    }
-    initials = {remap[q] for q in a.initials if q in useful}
-    finals = {remap[q] for q in a.finals if q in useful}
+    remap = {q: i for i, q in enumerate(bits(useful))}
+    transitions = [(i, sym, remap[t]) for q, i in remap.items()
+                   for sym, mask in a.rows[q].items() for t in bits(mask & useful)]
+    initials = {remap[q] for q in a.initials if q in remap}
+    finals = {remap[q] for q in a.finals if q in remap}
     deterministic = a.deterministic and len(initials) == 1
-    return Automaton(len(order), a.alphabet, initials, finals, transitions, deterministic)
+    return Automaton(len(remap), a.alphabet, initials, finals, transitions, deterministic)
 
 
 def is_empty(a: Automaton) -> bool:
@@ -284,12 +283,12 @@ def is_empty(a: Automaton) -> bool:
 
 
 def _moves(a: Automaton) -> list:
-    """``moves[q]`` lists the (letter, target) pairs of q's moves.  The
-    kernels read a flat DFA's moves as ``succ[q].items()``."""
-    moves = [[] for _ in range(a.state_count)]
-    for src, sym, dst in a.transitions:
-        moves[src].append((sym, dst))
-    return moves
+    """``moves[q]`` lists the (letter, target) pairs of q's moves, read off
+    ``a.rows``, for the NFA product and the closure tables.  The kernels read
+    a flat DFA's moves as ``succ[q].items()``."""
+    if a.deterministic:  # one bit per mask: no bits() generator per move
+        return [[(sym, mask.bit_length() - 1) for sym, mask in row.items()] for row in a.rows]
+    return [[(sym, t) for sym, mask in row.items() for t in bits(mask)] for row in a.rows]
 
 
 def _rows(moves) -> list:
@@ -305,7 +304,8 @@ def _rows(moves) -> list:
 def _renumber(succ, block_of, members, start: int, finals):
     """The quotient of the DFA ``succ`` by ``block_of`` (-1 drops a dead
     state and the moves into it), with ``members[b]`` a state of block b,
-    numbered by a BFS from the block of ``start`` as the contract asks."""
+    numbered by a BFS from the block of ``start`` as the contract asks.
+    ``block_of`` is read only at ``start``, ``finals`` and the row values."""
     order, out = [block_of[start]], []
     number = [-1] * len(members)
     number[order[0]] = 0
@@ -368,13 +368,15 @@ def _automaton(alphabet, dfa) -> Automaton:
 def _product(moves_a, rows_b, nb: int, starts, finals_a, finals_b):
     """The NFA product, for :func:`intersection` and the prefix heights (the
     chain's DFA product is :func:`_meet`): the part of the synchronized
-    product that one common word reaches from a start pair, for the moves of
-    the left automaton (see :func:`_moves`) and the successor rows of the
-    right one (see :func:`_rows`).  It follows the left moves whose letter
-    moves on the right too, so its cost is the live moves it meets.  Pair
-    (p, q) has key p*nb + q.  Returns (keys, moves, finals): the reached keys
-    in ascending order, the moves as (source, symbol, target) triples over
-    positions in ``keys``, and the positions where both sides accept."""
+    product that one common word reaches from a start pair, for the
+    (letter, target) moves of the left automaton (:func:`_moves`, or a flat
+    DFA's ``succ[q].items()``) and the target lists of the right one
+    (:func:`_rows` of such moves), not mask rows.  It follows the left moves
+    whose letter moves on the right too, so its cost is the live moves it
+    meets.  Pair (p, q) has key p*nb + q.  Returns (keys, moves, finals): the
+    reached keys in ascending order, the moves as (source, symbol, target)
+    triples over positions in ``keys``, and the positions where both sides
+    accept."""
     seen = set(starts)
     stack = list(seen)
     edges = []
@@ -455,12 +457,11 @@ def complete(d: Automaton) -> Automaton:
     if not d.deterministic and d.state_count > 0:
         raise NotDeterministic("complete() expects a deterministic automaton")
     m, n = len(d.alphabet), d.state_count
-    moved = {(src, sym) for src, sym, _ in d.transitions}
-    missing = [(q, sym, n) for q in range(n) for sym in range(m) if (q, sym) not in moved]
-    if n and not missing:
+    if n and all(len(row) == m for row in d.rows):
         return d
     return Automaton(n + 1, d.alphabet, d.initials or {n}, d.finals,
-                     [*d.transitions, *missing, *((n, sym, n) for sym in range(m))], True)
+                     [(q, sym, row[sym].bit_length() - 1 if sym in row else n)
+                      for q, row in enumerate([*d.rows, {}]) for sym in range(m)], True)
 
 
 def complement(d: Automaton) -> Automaton:
@@ -479,7 +480,9 @@ def _complement(m: int, dfa):
 def _subset_construction(m: int, move, start_mask: int, final_mask: int,
                          budget: Optional[int], cover=None):
     """The one subset construction.  ``move[q]`` maps each letter with a move
-    from state q to its nonzero target mask; a subset is final when it meets
+    from state q to its nonzero target mask: the ``rows`` of an
+    :class:`Automaton` as they are stored (see :func:`_subsets`), or the
+    closure machine's closed tables.  A subset is final when it meets
     ``final_mask``.  The result is the flat DFA over the nonempty explored
     subsets, numbered in BFS order with letters in alphabet order.  The
     empty subset is no state, but it counts towards the budget once some
@@ -529,9 +532,8 @@ def _subset_construction(m: int, move, start_mask: int, final_mask: int,
 
 
 def _subsets(a: Automaton, budget: Optional[int]):
-    """The flat DFA of the subset construction on a's own moves."""
-    move = [{sym: mask_of(ts) for sym, ts in row.items()} for row in _rows(_moves(a))]
-    return _subset_construction(len(a.alphabet), move, a.initial_mask, a.final_mask, budget)
+    """The flat DFA of the subset construction on a's rows."""
+    return _subset_construction(len(a.alphabet), a.rows, a.initial_mask, a.final_mask, budget)
 
 
 def determinize(a: Automaton, budget: Optional[int] = None) -> Automaton:
@@ -619,16 +621,14 @@ def _minimize(dfa, pred=None):
 
 
 def _minimal(a: Automaton, budget: Optional[int] = None):
-    """The canonical minimal flat DFA of L(a).  A DFA's rows are filled
-    from its transitions and put in the contract's form by :func:`_renumber`,
-    which numbers no unreachable state; :func:`_minimize` drops dead ones.
-    An NFA is trimmed, then determinized."""
+    """The canonical minimal flat DFA of L(a).  A DFA's rows go to
+    :func:`_renumber` as stored, ``block_of`` mapping one-bit masks to
+    states; no unreachable state is numbered, and :func:`_minimize` drops
+    dead ones.  An NFA is trimmed, then determinized."""
     if a.deterministic:
         states = range(a.state_count)
-        succ = [{} for _ in states]
-        for src, sym, dst in a.transitions:
-            succ[src][sym] = dst
-        return _minimize(_renumber(succ, states, states, min(a.initials), a.finals))
+        return _minimize(_renumber(a.rows, {1 << q: q for q in states}, states,
+                                   1 << min(a.initials), {1 << q for q in a.finals}))
     return _minimize(_subsets(trim(a), budget))
 
 
@@ -655,9 +655,8 @@ def normalize_alphabets(a: Automaton, b: Automaton):
     def reindex(x: Automaton) -> Automaton:
         if tuple(merged) == x.alphabet:
             return x
-        transitions = {
-            (s, x.alphabet[sym], t) for s, sym, t in x.transitions
-        }
+        transitions = [(q, x.alphabet[sym], t)
+                       for q, moves in enumerate(_moves(x)) for sym, t in moves]
         return Automaton(x.state_count, merged, x.initials, x.finals,
                          transitions, x.deterministic)
 
@@ -678,15 +677,25 @@ def whole(value, bound=None) -> bool:
 
 
 def automaton_to_dict(a: Automaton) -> dict:
+    """The JSON document of ``a``, its transitions sorted by (source, symbol
+    name, target)."""
+    names = a.alphabet
+    transitions = []
+    for q, row in enumerate(a.rows):
+        for sym, mask in row.items():
+            name = names[sym]
+            while mask:  # bits(mask), inline: this runs once per move
+                low = mask & -mask
+                transitions.append([q, name, low.bit_length() - 1])
+                mask ^= low
+    transitions.sort()
     return {
-        "alphabet": list(a.alphabet),
+        "alphabet": list(names),
         "states": a.state_count,
         "initials": sorted(a.initials),
         "finals": sorted(a.finals),
         "deterministic": a.deterministic,
-        "transitions": sorted(
-            [s, a.alphabet[sym], t] for s, sym, t in a.transitions
-        ),
+        "transitions": transitions,
     }
 
 

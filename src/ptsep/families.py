@@ -435,10 +435,8 @@ def single_initial(a: Automaton) -> Automaton:
     if len(a.initials) == 1:
         return a
     iota = a.state_count
-    transitions = set(a.transitions)
-    for src, sym, dst in a.transitions:
-        if src in a.initials:
-            transitions.add((iota, sym, dst))
+    transitions = [*a.transitions, *((iota, sym, t) for q in a.initials
+                                     for sym, mask in a.rows[q].items() for t in bits(mask))]
     finals = set(a.finals)
     if a.initials & a.finals:
         finals.add(iota)
@@ -464,19 +462,13 @@ def gen_universality(a: Automaton) -> Automaton:
     a = single_initial(a)
     x = _fresh_name("x", set(a.alphabet))
     alphabet = a.alphabet + (x,)
-    n = a.state_count
-    dead = n
+    m, n = len(a.alphabet), a.state_count
     q0 = next(iter(a.initials))
-    transitions = {(s, a.alphabet[sym], t) for s, sym, t in a.transitions}
-    defined = {(s, sym) for s, sym, _ in a.transitions}
-    for q in range(n):
-        for sym in range(len(a.alphabet)):
-            if (q, sym) not in defined:
-                transitions.add((q, a.alphabet[sym], dead))
-    for sym in a.alphabet:
-        transitions.add((dead, sym, dead))
-    for q in range(n + 1):
-        transitions.add((q, x, q0))
+    # x has symbol id m; n is the dead state: a missing move, and every move of n, leads to n
+    transitions = [(q, m, q0) for q in range(n + 1)]
+    for q, row in enumerate([*a.rows, {}]):
+        transitions += ((q, sym, t) for sym in range(m)
+                        for t in (bits(row[sym]) if sym in row else (n,)))
     return Automaton(n + 1, alphabet, {q0}, a.finals, transitions)
 
 
@@ -542,11 +534,9 @@ def _transform_one(orig, source, side, entry, alphabet, per_state):
         if not per_state:
             key = (name, t)
         elif s == orig.state_count:
-            srcs = {
-                s0 for s0, _, t0 in orig.transitions
-                if t0 == t and s0 in orig.initials
-            }
-            key = (next(iter(srcs)) if len(srcs) == 1 else s, t)
+            srcs = [s0 for s0 in orig.initials
+                    if any(mask >> t & 1 for mask in orig.rows[s0].values())]
+            key = (srcs[0] if len(srcs) == 1 else s, t)
         else:
             key = (s, t)
         _, _, syms, sources = routes.setdefault(key, (t, entry[(side, name, t)], set(), set()))

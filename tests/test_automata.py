@@ -17,9 +17,13 @@ from ptsep import (
     decide_separability,
     determinize,
     find_pattern,
+    gen_2exp,
     gen_exp,
+    gen_expdfa,
     gen_mcvp,
     gen_quadratic,
+    gen_reachability,
+    gen_universality,
     includes,
     intersection,
     is_empty,
@@ -29,7 +33,6 @@ from ptsep import (
     tower_preserving_determinization,
     trim,
 )
-from ptsep.automata import _reachable
 from conftest import (
     accepted_set,
     all_words,
@@ -66,6 +69,16 @@ def test_construction_validation():
                   deterministic=True)
     with pytest.raises(InvalidWord):
         Automaton(1, ("a",), {0}, {0}, {(0, "zz", 0)})
+    # rows hold one nonzero target mask per letter that moves; a repeated
+    # move ORs in nothing new, by name or by symbol id
+    twice = Automaton(2, ("a", "b"), {0}, {1}, [(0, "a", 1), (0, 0, 1)], True)
+    assert twice.rows == [{0: 0b10}, {}] and len(twice.transitions) == 1
+    nfa = Automaton(2, ("a", "b"), {0}, {1}, [(0, "b", 1), (0, "b", 0), (0, "b", 1)])
+    assert nfa.rows == [{1: 0b11}, {}]
+    assert nfa.transitions == {(0, 1, 0), (0, 1, 1)}
+    with pytest.raises(ValueError, match=r"transitions\[2\]: state 0 has two moves"):
+        Automaton(2, ("a",), {0}, set(), [(0, "a", 1), (0, "a", 1), (0, "a", 0)],
+                  deterministic=True)
 
 
 def test_accepts_rejects_unknown_symbols():
@@ -219,6 +232,16 @@ def untrimmed_dfa(rng):
                      {(q, sym, t) for q, row in succ.items() for sym, t in row.items()}, True)
 
 
+def reached(edges, sources) -> set:
+    """The states that the (source, target) edges lead to from ``sources``."""
+    seen = set(sources)
+    while True:
+        more = {t for s, t in edges if s in seen} - seen
+        if not more:
+            return seen
+        seen |= more
+
+
 def test_minimize_against_moore_oracle():
     rng = random.Random(17)
     for _ in range(200):
@@ -265,8 +288,8 @@ def test_minimize_against_moore_oracle():
         assert got == moore_minimize(d)
         assert got == automaton_to_dict(minimal_dfa(trim(d)))
         moves = [(s, t) for s, _, t in d.transitions]
-        reachable = _reachable(d.state_count, moves, d.initials)
-        useful = _reachable(d.state_count, [(t, s) for s, t in moves], d.finals)
+        reachable = reached(moves, d.initials)
+        useful = reached([(t, s) for s, t in moves], d.finals)
         both += len(reachable) < d.state_count and len(useful) < d.state_count
     assert both >= 100
     # the start blocks are keyed on the letters into live states: 1 and 2
@@ -405,6 +428,23 @@ def test_json_roundtrip():
     assert back.alphabet == inst.left.alphabet
     assert back.transitions == inst.left.transitions
     assert back.initials == inst.left.initials and back.finals == inst.left.finals
+    # the stored rows survive the document and the derived triples
+    rng = random.Random(31)
+    circuit = random_circuit(rng, 8)
+    pairs = [gen_quadratic(4), gen_exp(2), gen_2exp(2), gen_expdfa(3)]
+    sides = [x for inst in pairs for x in (inst.left, inst.right)]
+    sides += [*gen_mcvp(circuit), *gen_reachability(6, [(0, 1), (1, 2), (2, 0)], 0, 2)]
+    sides.append(gen_universality(sides[0]))
+    for x in sides:
+        assert automaton_from_dict(automaton_to_dict(x)).rows == x.rows
+        assert Automaton(x.state_count, x.alphabet, x.initials, x.finals,
+                         x.transitions, x.deterministic).rows == x.rows
+    # every stored mask is nonzero and names states only
+    for _ in range(200):
+        x = random_nfa(rng, max_states=5, alphabet=("a", "b", "c"))
+        assert len(x.rows) == x.state_count
+        assert all(0 < mask < 1 << x.state_count for row in x.rows for mask in row.values())
+        assert automaton_from_dict(automaton_to_dict(x)).rows == x.rows
 
 
 @pytest.mark.parametrize("doc,fragment", [
