@@ -280,6 +280,18 @@ def self_loop_alphabet(d, q) -> frozenset:
     return frozenset(d.alphabet[sym] for s, sym, t in d.transitions if s == t == q)
 
 
+def search(sources, moves):
+    """The nodes that ``moves`` (a list of successor lists) reach from
+    ``sources``, sources included."""
+    seen, stack = set(sources), list(sources)
+    while stack:
+        for t in moves[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
 def pt_violation_reference(rows):
     """Reference for the PT conditions on the rows of a minimal complete DFA
     (``rows[q][sym]`` is the target of q on letter id sym), by plain
@@ -289,16 +301,6 @@ def pt_violation_reference(rows):
     order whose backward searches, over the letters that loop on both, share
     a state p other than q and q', p the least; else None."""
     n = len(rows)
-
-    def search(sources, moves):
-        seen, stack = set(sources), list(sources)
-        while stack:
-            for t in moves[stack.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return seen
-
     leaving = [[t for t in row.values() if t != s] for s, row in enumerate(rows)]
     forward = [search([q], leaving) for q in range(n)]
     classes = {tuple(sorted(r for r in forward[q] if q in forward[r])) for q in range(n)}
@@ -319,6 +321,40 @@ def pt_violation_reference(rows):
             if common:
                 return ("fork", (min(common), q, q2))
     return None
+
+
+def confluence_violation_reference(rows):
+    """Reference for the fork that the local-confluence test reports on the
+    rows of a minimal complete DFA with no cycle but self-loops, by plain
+    searches.  For letter pairs a < b, then states q in order with
+    q·a != q·b, it collects the states that a- and b-moves reach from q·a
+    and from q·b where both letters loop.  The first q whose two sets are
+    disjoint gives ("fork", (q, s, s')), s < s' the least of each set; else
+    None."""
+    letters = range(len(rows[0]))
+    for a in letters:
+        for b in letters[a + 1:]:
+            moves = [(row[a], row[b]) for row in rows]
+
+            def stable(start):
+                return {s for s in search([start], moves) if moves[s] == (s, s)}
+
+            for q, (qa, qb) in enumerate(moves):
+                if qa != qb:
+                    here, there = stable(qa), stable(qb)
+                    if not here & there:
+                        return ("fork", (q, *sorted((min(here), min(there)))))
+    return None
+
+
+def is_fork(rows, triple):
+    """Whether (p, q, q') are three distinct states of a complete DFA, given
+    by its rows, with paths from p to q and to q' over the letters that loop
+    on both q and q', by plain search."""
+    p, q, q2 = triple
+    gamma = [sym for sym, t in rows[q].items() if t == q and rows[q2][sym] == q2]
+    moves = [[row[sym] for sym in gamma] for row in rows]
+    return len({p, q, q2}) == 3 and {q, q2} <= search([p], moves)
 
 
 def alternation_height(a, b, budget=None):

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from ptsep import Automaton, automaton_to_dict, gen_exp, gen_quadratic, save_automaton
+from ptsep import (
+    Automaton, automaton_to_dict, gen_exp, gen_quadratic, minimal_dfa, save_automaton)
 from ptsep.cli import BENCH_COLUMNS, main
-from conftest import dfa, literal, sigma_star
+from conftest import dfa, is_fork, literal, sigma_star
 
 
 def write_json(path, data):
@@ -242,6 +243,23 @@ def test_pt_check_exit_codes(tmp_path, capsys):
     assert "subset construction exceeded budget of 0 states" in capsys.readouterr().err
     assert main(["pt-check", str(path3), "--budget", "1"]) == 0
     capsys.readouterr()
+
+
+def test_pt_check_reports_a_fork(tmp_path, capsys):
+    # L = a Sigma* + b a*: every cycle is a self-loop, so condition 2 fails
+    x = dfa(("a", "b"), {0: {"a": 1, "b": 2}, 1: {"a": 1, "b": 1},
+                         2: {"a": 2, "b": 3}, 3: {"a": 3, "b": 3}}, 0, {1, 2})
+    path = tmp_path / "fork.json"
+    save_automaton(x, path)
+    assert main(["pt-check", str(path), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    witness = report["witness_states"]
+    assert report["violated_condition"] == 2 and len(set(witness)) == 3
+    d = minimal_dfa(x)
+    rows = [{} for _ in range(d.state_count)]
+    for s, sym, t in d.transitions:
+        rows[s][sym] = t
+    assert is_fork(rows, witness)
 
 
 def test_generate_roundtrip(tmp_path, capsys):

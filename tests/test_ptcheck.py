@@ -2,6 +2,7 @@
 the universality reduction, against a hand-labeled fixture set and a
 reference made of plain searches."""
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,8 +10,10 @@ from ptsep import (
     Automaton,
     NotDeterministic,
     complete,
+    decide_separability,
     determinize,
     gen_exp,
+    gen_expdfa,
     gen_quadratic,
     gen_universality,
     intersection,
@@ -18,11 +21,14 @@ from ptsep import (
     minimal_dfa,
     complement,
 )
-from ptsep.ptcheck import language_pt_violation
+from ptsep.automata import _completed, _minimal
+from ptsep.ptcheck import _violation, language_pt_violation
 from conftest import (
+    confluence_violation_reference,
     dfa,
     empty_language,
     ends_with,
+    is_fork,
     literal,
     pt_violation_reference,
     random_nfa,
@@ -215,15 +221,18 @@ def random_po_dfa(rng, max_states=8, alphabet=("a", "b", "c")):
 
 
 def test_violation_matches_plain_search_reference():
-    """The witness on the minimal DFA equals the reference's: a fork exactly,
-    and a cycle as one of its classes of mutually reachable states."""
+    """The verdict and condition kind equal the reference's on the minimal
+    DFA; a cycle is one of its classes of mutually reachable states, and a
+    fork is exactly the local-confluence reference's and a fork by plain
+    search, like the reference's own."""
     rng = random.Random(9201)
     forks = cycles = 0
-    for i in range(2400):
-        if i < 2000:
-            a = random_po_dfa(rng)
+    for i in range(20000):
+        alphabet = ("a", "b", "c", "d")[:rng.randint(1, 4)]
+        if i < 16000:
+            a = random_po_dfa(rng, alphabet=alphabet)
         else:
-            a = random_nfa(rng, max_states=4, alphabet=("a", "b", "c")[:rng.randint(1, 3)])
+            a = random_nfa(rng, max_states=4, alphabet=alphabet)
         d = minimal_dfa(a)
         rows = [{} for _ in range(d.state_count)]
         for s, sym, t in d.transitions:
@@ -232,7 +241,27 @@ def test_violation_matches_plain_search_reference():
         if want is not None and want[0] == "cycle":
             assert got[0] == "cycle" and got[1] in want[1], (a, got, want)
             cycles += 1
+        elif want is not None:
+            assert got[0] == "fork", (a, got, want)
+            assert got == confluence_violation_reference(rows), (a, got, want)
+            assert is_fork(rows, got[1]) and is_fork(rows, want[1]), (a, got, want)
+            forks += 1
         else:
-            assert got == want, (a, got, want)
-            forks += got is not None
-    assert forks >= 200 and cycles >= 60
+            assert got is None, (a, got)
+    assert forks >= 1500 and cycles >= 800
+
+
+def test_violation_memory_on_a_large_separator():
+    # the PT audit of a 129-state separator over 29 letters keeps one mask
+    # per state for one letter pair at a time: about 0.07 MB, where one list
+    # of ancestor masks per shared self-loop alphabet took 0.82 MB
+    inst = gen_expdfa(7)
+    sep = decide_separability(inst.left, inst.right, with_separator=True).separator
+    rows = _completed(len(sep.alphabet), _minimal(sep))[1]
+    tracemalloc.start()
+    try:
+        violation = _violation(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert violation is None and peak < 250_000
